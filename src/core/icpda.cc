@@ -21,6 +21,15 @@ using proto::JoinMsg;
 using proto::ReportMsg;
 using proto::ShareMsg;
 
+namespace {
+
+/// |d| exceeds `th`, failing closed: a NaN difference (a non-finite
+/// value on either side) counts as exceeding any threshold, where a
+/// plain `std::abs(d) > th` would silently pass it.
+bool exceeds(double d, double th) { return !(std::abs(d) <= th); }
+
+}  // namespace
+
 // ---------------------------------------------------------------------
 // Start & query dissemination
 
@@ -1489,7 +1498,7 @@ void IcpdaApp::handle_alarm(net::Node& node, const net::Frame& frame) {
       outcome_->alarms.push_back(*alarm);
       if (alarm->kind == AlarmMsg::kDropSuspect) {
         ++outcome_->drop_suspicions;
-      } else if (std::abs(alarm->expected_sum - alarm->observed_sum) > config_.th) {
+      } else if (exceeds(alarm->expected_sum - alarm->observed_sum, config_.th)) {
         ++outcome_->significant_alarms;
       }
     }
@@ -1610,8 +1619,7 @@ void IcpdaApp::crosscheck_digest(net::Node& node, const proto::ClusterDigestMsg&
   for (std::size_t j = 0; j < digest.members.size() && j < digest.f_values.size();
        ++j) {
     if (digest.members[j] != digest.head) continue;
-    if (std::abs(digest.f_values[j].sum - seen->second) >
-        config_.witness_tolerance) {
+    if (exceeds(digest.f_values[j].sum - seen->second, config_.witness_tolerance)) {
       // The head published a different F for itself than it committed
       // on the air before solving: the one digest slot no member
       // endorses, forged. Attributable — alarm on the head.

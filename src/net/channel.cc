@@ -16,7 +16,8 @@ Channel::Channel(const Topology& topo, sim::Scheduler& sched, sim::Rng rng,
       ctxs_(1),
       loss_seed_(rng.fork("loss")()),
       tx_until_(topo.size(), sim::SimTime::zero()),
-      receptions_(topo.size()) {
+      receptions_(topo.size()),
+      link_seen_(topo.link_count(), 0) {
   ctxs_[0].sched = &sched;
   ctxs_[0].metrics = &metrics;
 }
@@ -186,7 +187,14 @@ void Channel::deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
                       ShardCtx& ctx) {
   const sim::SimTime now = ctx.sched->now();
   const bool traced = tracer_ && tracer_->enabled() && tracer_->config().rx_events;
-  for (const NodeId r : topo_.neighbors(sender)) {
+  const auto receivers = topo_.neighbors(sender);
+  // The receivers' dedup slots for links from `sender`, in the same
+  // CSR order. Only this pass writes them, and it runs on the sender's
+  // shard drain (an interior sender's neighbours share its shard) or in
+  // the serialized gate (a border sender), so shards never race on one.
+  std::uint32_t* const seen = link_seen_.data() + topo_.first_link(sender);
+  for (std::size_t k = 0; k < receivers.size(); ++k) {
+    const NodeId r = receivers[k];
     auto& rs = receptions_[r];
     ReceptionStatus status = ReceptionStatus::kOk;
     bool rx_while_tx = false;
@@ -233,13 +241,15 @@ void Channel::deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
       // Direct dispatch into the receiving MAC; a dead receiver's
       // radio is off, so the frame dissipates unheard (the MAC's own
       // down flag backstops this, but filtering here keeps the metric
-      // honest — same accounting the Network's hook used to do). The
-      // MAC discards every non-kOk reception unconditionally, so those
-      // calls are elided outright; a delivery hook still sees all four
-      // statuses.
+      // honest — same accounting the Network's hook used to do). Only
+      // intact frames reach the MAC, and of the ACKs only those
+      // addressed to the receiver: an ACK for another node, counted
+      // above like any reception, would only be discarded there. A
+      // delivery hook still sees every reception with its status.
       if (!sink_alive_[r]) {
         ctx.rx_dead.add(*ctx.metrics);
-      } else if (status == ReceptionStatus::kOk) {
+      } else if (status == ReceptionStatus::kOk &&
+                 (frame.type != kMacAck || frame.dst == r)) {
         if (shard_of_ != nullptr) {
           // Under the serialized gate a foreign receiver's clock may
           // lag this event; catch it up so anything the reception
@@ -248,7 +258,7 @@ void Channel::deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
           // order, so no pending event of that shard precedes `now`.
           ctxs_[shard_of_[r]].sched->advance_to(now);
         }
-        sink_macs_[r]->handle_reception(frame, status);
+        sink_macs_[r]->handle_reception(frame, seen[k]);
       }
     } else if (delivery_) {
       delivery_(r, frame, status);

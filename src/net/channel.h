@@ -140,10 +140,11 @@ class Channel {
     sink_alive_ = nullptr;
   }
 
-  /// Production fast path (Network::wire): deliver straight into
-  /// `macs[r]->handle_reception` when `alive[r]`, skipping the
-  /// std::function hop paid once per in-range node per frame — the
-  /// hottest indirect call in the simulator. Both arrays are indexed
+  /// Production fast path (Network::wire): deliver intact frames
+  /// straight into `macs[r]->handle_reception` when `alive[r]` (ACKs
+  /// only when addressed to r), skipping the std::function hop paid
+  /// once per in-range node per frame — the hottest indirect call in
+  /// the simulator. Both arrays are indexed
   /// by NodeId, must cover every topology node and outlive the
   /// channel's use of them (the Network owns both; neither reallocates
   /// after wiring). Dead receivers count channel.rx_dead, exactly as
@@ -165,12 +166,13 @@ class Channel {
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
 
-  /// Heap bytes held by the physical state (per-node carrier clocks and
-  /// reception pools) and the per-shard acting contexts (in-flight
+  /// Heap bytes held by the physical state (per-node carrier clocks,
+  /// reception pools and per-link dedup slots) and the per-shard acting contexts (in-flight
   /// frame pools). Capacity-based: reports the high-water pool sizes.
   [[nodiscard]] std::size_t footprint_bytes() const {
     std::size_t bytes = tx_until_.capacity() * sizeof(sim::SimTime) +
-                        receptions_.capacity() * sizeof(std::vector<Reception>);
+                        receptions_.capacity() * sizeof(std::vector<Reception>) +
+                        link_seen_.capacity() * sizeof(std::uint32_t);
     for (const auto& pool : receptions_) bytes += pool.capacity() * sizeof(Reception);
     for (const ShardCtx& ctx : ctxs_) {
       bytes += ctx.inflight.capacity() * sizeof(Frame) +
@@ -277,6 +279,13 @@ class Channel {
   std::vector<sim::SimTime> tx_until_;
   /// Per-node slot pools of in-flight receptions.
   std::vector<std::vector<Reception>> receptions_;
+  /// Unicast dedup state, one slot per directed link in topology CSR
+  /// order (Topology::first_link): the highest data-frame sequence the
+  /// receiver has taken from that sender, 0 = none. deliver() hands the
+  /// slot to the receiving MAC (Mac::handle_reception), so a reception
+  /// costs O(1) however many neighbours the receiver hears. It outlives
+  /// power cycles, as MAC sequence numbers do.
+  std::vector<std::uint32_t> link_seen_;
 };
 
 }  // namespace icpda::net

@@ -216,12 +216,10 @@ void Mac::send_ack(const Frame& data_frame) {
       self_, border_);
 }
 
-void Mac::handle_reception(const Frame& frame, ReceptionStatus status) {
+void Mac::handle_reception(const Frame& frame, std::uint32_t& last_seen) {
   if (down_) return;  // radio off: cannot decode, cannot ACK
-  if (status != ReceptionStatus::kOk) return;
 
   if (frame.type == kMacAck) {
-    if (frame.dst != self_) return;
     if (state_ != State::kAwaitingAck || queue_.empty()) return;
     try {
       WireReader r(frame.payload);
@@ -241,8 +239,8 @@ void Mac::handle_reception(const Frame& frame, ReceptionStatus status) {
   // sender for the lifetime of the run (send() stamps src and seq;
   // power cycles reuse the Mac, so next_seq_ never resets), so a
   // broadcast can never repeat a previously seen sequence: skip the
-  // per-sender dedup-table touch — a near-guaranteed cache miss on the
-  // hottest reception path (floods are broadcast).
+  // per-link dedup-slot touch — a likely cache miss on the hottest
+  // reception path (floods are broadcast).
   if (frame.is_broadcast()) {
     if (sink_ != nullptr) {
       sink_->dispatch_receive(frame);
@@ -255,22 +253,9 @@ void Mac::handle_reception(const Frame& frame, ReceptionStatus status) {
   // Duplicate suppression (unicast): sequence numbers are monotone per
   // sender (one frame in flight at a time), so a repeat means the
   // sender missed our ACK and retransmitted. Re-ACK but do not
-  // re-deliver. The table is linear-scanned: only one-hop neighbours
-  // can be heard, so it holds at most degree-many entries and in
-  // practice a handful (cluster members unicast to their head only).
-  std::uint32_t* last_seen = nullptr;
-  for (SeenSeq& e : last_seen_) {
-    if (e.src == frame.src) {
-      last_seen = &e.seq;
-      break;
-    }
-  }
-  if (last_seen == nullptr) {
-    last_seen_.push_back(SeenSeq{frame.src, 0});
-    last_seen = &last_seen_.back().seq;
-  }
-  const bool duplicate = *last_seen != 0 && frame.seq <= *last_seen;
-  if (!duplicate) *last_seen = frame.seq;
+  // re-deliver.
+  const bool duplicate = last_seen != 0 && frame.seq <= last_seen;
+  if (!duplicate) last_seen = frame.seq;
 
   if (frame.dst == self_) {
     send_ack(frame);
@@ -299,7 +284,6 @@ void Mac::handle_reception(const Frame& frame, ReceptionStatus status) {
 
 std::size_t Mac::footprint_bytes() const {
   std::size_t bytes = queue_.footprint_bytes();
-  bytes += last_seen_.capacity() * sizeof(SeenSeq);
   if (cbs_) bytes += sizeof(Callbacks);
   return bytes;
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/channel.h"
 #include "net/frame_queue.h"
@@ -108,11 +107,15 @@ class Mac {
 
   [[nodiscard]] bool powered() const { return !down_; }
 
-  /// Channel entry point: the Network routes every reception here.
-  void handle_reception(const Frame& frame, ReceptionStatus status);
+  /// Channel entry point for an intact reception (the Channel filters
+  /// out damaged frames and ACKs addressed to other nodes).
+  /// `last_seen` is the dedup slot of the link frame.src -> this node:
+  /// the highest data-frame sequence taken from that sender, 0 = none
+  /// (valid because send() stamps sequences from 1).
+  void handle_reception(const Frame& frame, std::uint32_t& last_seen);
 
   /// Heap bytes held by this MAC beyond sizeof(Mac): queued frames and
-  /// their payloads, the per-sender dedup table, test callbacks.
+  /// their payloads, test callbacks.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
@@ -153,21 +156,6 @@ class Mac {
   std::uint32_t next_seq_ = 1;
   sim::EventId ack_timer_{~0ULL};
   bool ack_timer_armed_ = false;
-  /// Highest data-frame sequence seen per sender; suppresses the
-  /// duplicate deliveries a lost ACK + retransmission would cause.
-  /// Keyed by actual unicast senders, linear-scanned: a node only ever
-  /// hears its one-hop neighbours, so the table stays at most
-  /// degree-sized. (The obvious flat array indexed by sender id was
-  /// quadratic in disguise: node ids are scattered uniformly over the
-  /// field, so nearly every node resized its array to ~N entries —
-  /// ~4·N bytes per node, ~4 TB at the N=1M target.) seq 0 means
-  /// "nothing seen" — valid because the MAC stamps sequences from
-  /// next_seq_, which starts at 1.
-  struct SeenSeq {
-    NodeId src;
-    std::uint32_t seq;
-  };
-  std::vector<SeenSeq> last_seen_;
 
   void try_start();
   void defer();

@@ -180,8 +180,8 @@ class Network {
   struct Footprint {
     std::size_t topology = 0;    ///< positions + CSR adjacency
     std::size_t schedulers = 0;  ///< event slabs, all engines
-    std::size_t channel = 0;     ///< carrier clocks, reception + frame pools
-    std::size_t macs = 0;        ///< queues, dedup tables, callbacks
+    std::size_t channel = 0;     ///< carrier clocks, reception + frame pools, link dedup
+    std::size_t macs = 0;        ///< queues, callbacks
     std::size_t metrics = 0;     ///< all registries (main + per-shard)
     std::size_t plan = 0;        ///< shard partition arrays
     std::size_t objects = 0;     ///< sizeof of per-node objects + ptr arrays

@@ -10,13 +10,15 @@ sim::EventId Node::schedule(sim::SimTime delay, sim::EventFn fn) {
   // Liveness gate at fire time, not at schedule time: a node that
   // crashes loses its pending application timers (its program state is
   // gone), and a node that was down when the timer was set may be back
-  // up when it fires. Timers run on the node's home-shard scheduler,
+  // up when it fires. A timer also dies with the App that set it:
+  // once attach_app has replaced that App, the closure may point into
+  // freed memory. Timers run on the node's home-shard scheduler,
   // owner-tagged, and are never border events: application handlers
   // only touch the node's own state and send through its own MAC.
   return network_.scheduler_for(id_).after(
       delay,
-      [this, fn = std::move(fn)]() mutable {
-        if (alive_) fn();
+      [this, generation = app_generation_, fn = std::move(fn)]() mutable {
+        if (alive_ && generation == app_generation_) fn();
       },
       id_);
 }

@@ -67,7 +67,8 @@ class Node {
   /// Liveness (fault injection). A dead node's radio is off and its
   /// application is frozen: sends are discarded, receptions and
   /// overhears are not dispatched, and timers scheduled through the
-  /// node fire only if the node is alive at fire time. Toggled by
+  /// node fire only if the node is alive at fire time (and its App has
+  /// not been replaced since, see attach_app). Toggled by
   /// Network::set_node_down / set_node_up, never directly.
   [[nodiscard]] bool alive() const { return alive_; }
   void set_alive(bool alive) { alive_ = alive; }
@@ -88,7 +89,12 @@ class Node {
   [[nodiscard]] sim::Tracer& tracer();
   [[nodiscard]] const Point& position() const;
 
-  void attach_app(std::unique_ptr<App> app) { app_ = std::move(app); }
+  /// Replaces the App. Timers scheduled through this node before the
+  /// call never fire: their closures may point into the old App.
+  void attach_app(std::unique_ptr<App> app) {
+    ++app_generation_;
+    app_ = std::move(app);
+  }
   [[nodiscard]] App* app() { return app_.get(); }
 
   // Network-internal dispatch.
@@ -107,6 +113,9 @@ class Node {
   Network& network_;
   sim::Rng rng_;
   bool alive_ = true;
+  /// Bumped by attach_app; a timer fires only in the generation that
+  /// scheduled it.
+  std::uint32_t app_generation_ = 0;
   std::unique_ptr<App> app_;
 };
 

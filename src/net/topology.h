@@ -57,6 +57,11 @@ class Topology {
   [[nodiscard]] std::size_t min_degree() const;
   [[nodiscard]] std::size_t edge_count() const { return csr_flat_.size() / 2; }
 
+  /// Directed links (sender -> receiver), numbered by CSR slot: the
+  /// links out of `id` are first_link(id) + k for its k-th neighbour.
+  [[nodiscard]] std::size_t link_count() const { return csr_flat_.size(); }
+  [[nodiscard]] std::size_t first_link(NodeId id) const { return csr_offsets_[id]; }
+
   /// Heap bytes held by the deployment (positions + CSR adjacency).
   [[nodiscard]] std::size_t footprint_bytes() const {
     return positions_.capacity() * sizeof(Point) +

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "attacks/sen_maitra.h"
@@ -365,6 +366,30 @@ TEST(AttackTest, PollutionBiasesUnhardenedAndCrosscheckCatches) {
     EXPECT_GE(out.crosscheck_alarms, 1u);
     // The attributable value-tamper alarm rejects the epoch.
     EXPECT_FALSE(out.accepted());
+  }
+}
+
+// A non-finite forgery must trip the hardened cross-check too: the
+// head's digest entry minus its on-air commitment is NaN, and a NaN
+// difference exceeds every tolerance.
+TEST(AttackTest, NonFinitePollutionTripsCrosscheck) {
+  const auto keys = master_keys();
+  for (const double delta : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    AdversaryPlan plan;
+    plan.attack = AttackClass::kPollution;
+    plan.compromised = {3};
+    plan.pollution_delta = delta;
+    net::Network network(small_net(0x601D));
+    AdversaryState st;
+    auto cfg = epoch_config();
+    cfg.hardening.epoch_tag = 1;
+    cfg.hardening.digest_crosscheck = true;
+    const auto out =
+        run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, plan, st);
+    EXPECT_GE(st.digests_forged, 1u) << "delta " << delta;
+    EXPECT_GE(out.crosscheck_alarms, 1u) << "delta " << delta;
+    EXPECT_FALSE(out.accepted()) << "delta " << delta;
   }
 }
 

@@ -2,12 +2,17 @@
 // duplicate suppression) behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <numbers>
+#include <set>
 #include <vector>
 
 #include "net/channel.h"
 #include "net/mac.h"
 #include "net/network.h"
 #include "net/node.h"
+#include "net/wire.h"
 
 namespace icpda::net {
 namespace {
@@ -180,6 +185,97 @@ TEST(ChannelMacTest, DuplicateDataFramesAreSuppressed) {
   EXPECT_EQ(rig.network.metrics().counter("mac.duplicate_suppressed"), 1u);
 }
 
+TEST(ChannelMacTest, HubSuppressesOneRetransmissionPerSender) {
+  // Node 0 (the base station, which never goes down) is a hub heard by
+  // 64 senders on a ring. The senders are down, so only the hub
+  // decodes: every duplicate suppressed below is the hub's. All
+  // senders stamp the same sequence number, so dedup state shared
+  // between links would swallow first copies too.
+  constexpr NodeId kSenders = 64;
+  std::vector<Point> positions{{0, 0}};
+  for (NodeId i = 0; i < kSenders; ++i) {
+    const double a = 2.0 * std::numbers::pi * i / kSenders;
+    positions.push_back({45.0 * std::cos(a), 45.0 * std::sin(a)});
+  }
+  Rig rig(Topology{std::move(positions), 50.0});
+  ASSERT_EQ(rig.network.topology().degree(0), kSenders);
+  auto& sched = rig.network.scheduler();
+  for (NodeId s = 1; s <= kSenders; ++s) {
+    rig.network.set_node_down(s);
+    Frame f;
+    f.src = s;
+    f.dst = 0;
+    f.seq = 5;
+    f.type = 42;
+    const double t = 0.01 * s;
+    // The copy 5 ms later is the retransmission after a lost ACK.
+    sched.at(sim::seconds(t), [&rig, s, f] { rig.network.channel().transmit(s, f, nullptr); });
+    sched.at(sim::seconds(t + 0.005),
+             [&rig, s, f] { rig.network.channel().transmit(s, f, nullptr); });
+  }
+  rig.network.run();
+  std::multiset<NodeId> delivered;
+  for (const auto& seen : rig.apps[0]->seen) {
+    EXPECT_FALSE(seen.overheard);
+    delivered.insert(seen.frame.src);
+  }
+  ASSERT_EQ(delivered.size(), kSenders);
+  for (NodeId s = 1; s <= kSenders; ++s) EXPECT_EQ(delivered.count(s), 1u) << "sender " << s;
+  EXPECT_EQ(rig.network.metrics().counter("mac.duplicate_suppressed"), kSenders);
+  // Duplicates are re-ACKed: the sender evidently missed the first ACK.
+  EXPECT_EQ(rig.network.metrics().counter("mac.ack_sent"), 2 * kSenders);
+}
+
+TEST(ChannelMacTest, BystanderOverhearsRetransmittedUnicastOnce) {
+  Rig rig(line_topology());
+  auto& sched = rig.network.scheduler();
+  Frame f;
+  f.src = 1;
+  f.dst = 0;
+  f.seq = 5;
+  f.type = 42;
+  sched.after(sim::seconds(0.001), [&] { rig.network.channel().transmit(1, f, nullptr); });
+  sched.after(sim::seconds(0.05), [&] { rig.network.channel().transmit(1, f, nullptr); });
+  rig.network.run();
+  ASSERT_EQ(rig.apps[0]->seen.size(), 1u);
+  EXPECT_FALSE(rig.apps[0]->seen[0].overheard);
+  ASSERT_EQ(rig.apps[2]->seen.size(), 1u);
+  EXPECT_TRUE(rig.apps[2]->seen[0].overheard);
+  // Both the destination and the bystander dropped the second copy.
+  EXPECT_EQ(rig.network.metrics().counter("mac.duplicate_suppressed"), 2u);
+}
+
+TEST(ChannelMacTest, AckAddressedElsewhereDoesNotCompletePendingFrame) {
+  // B = 0 unicasts to D = 1, which is down and never ACKs. After each
+  // of B's attempts, D's radio sends an ACK echoing B's sequence
+  // number, but addressed to C = 2: B must ignore every one and exhaust
+  // its retries.
+  Rig rig(line_topology());
+  auto& channel = rig.network.channel();
+  auto& sched = rig.network.scheduler();
+  rig.network.set_node_down(1);
+  channel.add_tap([&](NodeId sender, const Frame& f) {
+    if (sender != 0 || f.type != 42) return;
+    WireWriter w;
+    w.u32(f.seq);
+    Frame ack;
+    ack.src = 1;
+    ack.dst = 2;
+    ack.type = kMacAck;
+    ack.payload = std::move(w).take();
+    const sim::SimTime gap = channel.airtime(f) + sim::seconds(20e-6);
+    sched.after(gap, [&channel, ack] { channel.transmit(1, ack, nullptr); });
+  });
+  sched.after(sim::seconds(0.001), [&] { rig.network.node(0).send(1, 42, {1}); });
+  rig.network.run();
+  const std::uint64_t attempts = rig.network.config().mac.max_retries + 1;
+  EXPECT_EQ(rig.network.metrics().counter("mac.tx_attempts"), attempts);
+  // Per attempt, all intact: the data frame at D, the ACK at B and C.
+  EXPECT_EQ(rig.network.metrics().counter("channel.rx_ok"), 3 * attempts);
+  EXPECT_EQ(rig.network.metrics().counter("mac.ack_received"), 0u);
+  ASSERT_EQ(rig.apps[0]->failed.size(), 1u);
+}
+
 TEST(ChannelMacTest, QueueOverflowReportsFailure) {
   NetworkConfig cfg;
   cfg.mac.queue_limit = 2;
@@ -201,6 +297,37 @@ TEST(ChannelMacTest, TapSeesEveryTransmission) {
   });
   rig.network.run();
   EXPECT_EQ(tapped, 1);
+}
+
+/// App whose start() sets a timer that records into a flag it shares
+/// with the test, so the timer touches no App state.
+class TimerApp final : public App {
+ public:
+  explicit TimerApp(std::shared_ptr<bool> fired) : fired_(std::move(fired)) {}
+  void start(Node& node) override {
+    node.schedule(sim::seconds(1.0), [fired = fired_] { *fired = true; });
+  }
+
+ private:
+  std::shared_ptr<bool> fired_;
+};
+
+TEST(NodeTest, TimerDiesWithTheAppThatSetIt) {
+  Network network(line_topology(), NetworkConfig{});
+  auto stale = std::make_shared<bool>(false);
+  auto kept = std::make_shared<bool>(false);
+  auto fresh = std::make_shared<bool>(false);
+  network.node(1).attach_app(std::make_unique<TimerApp>(stale));
+  network.node(2).attach_app(std::make_unique<TimerApp>(kept));
+  network.scheduler().at(sim::seconds(0.5), [&] {
+    Node& node = network.node(1);
+    node.attach_app(std::make_unique<App>());
+    node.schedule(sim::seconds(1.0), [fresh] { *fresh = true; });
+  });
+  network.run();
+  EXPECT_FALSE(*stale) << "a timer outlived the App that set it";
+  EXPECT_TRUE(*kept);
+  EXPECT_TRUE(*fresh);
 }
 
 TEST(NetworkTest, RejectsEmptyTopology) {

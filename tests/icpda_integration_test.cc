@@ -1,6 +1,7 @@
 // End-to-end iCPDA epochs: honest runs, pollution runs, accuracy.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/icpda.h"
@@ -76,6 +77,25 @@ TEST(IcpdaIntegrationTest, PollutingHeadIsDetected) {
   }
   // The vast majority of pollution attempts must be caught.
   EXPECT_GE(detected, 4) << "detected " << detected << "/" << attempts;
+}
+
+TEST(IcpdaIntegrationTest, NonFinitePollutionIsRejected) {
+  // A NaN or +Inf report makes the witness's expected - observed NaN,
+  // which a plain `abs(d) > th` significance test lets through. Each
+  // must reject the epoch, as a finite delta does.
+  for (const double delta : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 300.0}) {
+    net::Network network(paper_network(400, 9001));
+    core::IcpdaConfig cfg;
+    const auto keys = master_keys();
+    core::AttackPlan attack;
+    attack.polluters.insert(217);
+    attack.delta = delta;
+    const auto outcome =
+        core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, attack);
+    EXPECT_GT(outcome.significant_alarms, 0u) << "delta " << delta;
+    EXPECT_FALSE(outcome.accepted()) << "delta " << delta;
+  }
 }
 
 TEST(IcpdaIntegrationTest, HonestRunRaisesNoSignificantAlarms) {
