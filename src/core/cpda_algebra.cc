@@ -123,165 +123,6 @@ std::optional<proto::Aggregate> solve_cluster_sum(
 }
 
 // ---------------------------------------------------------------------
-// Exact path.
-
-namespace {
-
-// __extension__ silences -Wpedantic: __int128 is a GCC/Clang extension
-// we rely on for the exact rational interpolation path.
-__extension__ typedef __int128 Int128;
-
-Int128 gcd128(Int128 a, Int128 b) {
-  if (a < 0) a = -a;
-  if (b < 0) b = -b;
-  while (b != 0) {
-    const Int128 t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-/// Minimal exact rational on 128-bit integers; magnitudes in the CPDA
-/// use stay far below overflow (seeds <= ~16, values <= 2^40).
-struct Fraction {
-  Int128 num = 0;
-  Int128 den = 1;
-
-  void normalize() {
-    if (den < 0) {
-      num = -num;
-      den = -den;
-    }
-    const Int128 g = gcd128(num, den);
-    if (g > 1) {
-      num /= g;
-      den /= g;
-    }
-  }
-
-  Fraction& operator+=(const Fraction& o) {
-    num = num * o.den + o.num * den;
-    den *= o.den;
-    normalize();
-    return *this;
-  }
-
-  friend Fraction operator*(const Fraction& a, const Fraction& b) {
-    Fraction r{a.num * b.num, a.den * b.den};
-    r.normalize();
-    return r;
-  }
-};
-
-bool seeds_valid_exact(const std::vector<std::int64_t>& seeds) {
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    if (seeds[i] == 0) return false;
-    for (std::size_t j = i + 1; j < seeds.size(); ++j) {
-      if (seeds[i] == seeds[j]) return false;
-    }
-  }
-  return !seeds.empty();
-}
-
-/// Seed bound for the specialized solve: with |x_j| <= 2^17 and m = 8
-/// the weight numerator is at most 2^(17*7) = 2^119 and the denominator
-/// at most 2^(18*7) = 2^126, both inside Int128. This gates only which
-/// path runs — the shared accumulation's Int128 domain is the caller
-/// precondition documented in cpda_algebra.h, and is much smaller.
-constexpr std::int64_t kExactFastSeedBound = std::int64_t{1} << 17;
-
-/// Specialized Vandermonde solve for a compile-time cluster size. Each
-/// Lagrange weight w_j = prod_k x_k / prod_k (x_k - x_j) is formed as
-/// one numerator/denominator product pair and reduced by a single gcd,
-/// replacing M-1 incremental Fraction normalizations. Lowest-terms
-/// rationals (den > 0) are a canonical form, so the reduced w_j — and
-/// every Fraction op after it — is identical to the generic path's.
-template <std::size_t M>
-std::optional<std::int64_t> solve_exact_fast(const std::int64_t* seeds,
-                                             const std::int64_t* assembled) {
-  Fraction total;
-  for (std::size_t j = 0; j < M; ++j) {
-    Int128 num = 1;
-    Int128 den = 1;
-    for (std::size_t k = 0; k < M; ++k) {
-      if (k == j) continue;
-      num *= seeds[k];
-      den *= seeds[k] - seeds[j];
-    }
-    Fraction w{num, den};
-    w.normalize();
-    total += w * Fraction{assembled[j], 1};
-  }
-  total.normalize();
-  if (total.den != 1) return std::nullopt;  // corrupted inputs
-  return static_cast<std::int64_t>(total.num);
-}
-
-}  // namespace
-
-ExactShareSet make_shares_exact(std::int64_t value,
-                                const std::vector<std::int64_t>& seeds,
-                                sim::Rng& rng, std::int64_t coeff_bound) {
-  const std::size_t m = seeds.size();
-  std::vector<std::int64_t> coeffs(m > 0 ? m - 1 : 0);
-  for (auto& c : coeffs) c = rng.range(-coeff_bound, coeff_bound);
-  ExactShareSet out;
-  out.shares.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    Int128 acc = 0;
-    for (std::size_t t = coeffs.size(); t-- > 0;) {
-      acc = acc * seeds[j] + coeffs[t];
-    }
-    acc = acc * seeds[j] + value;
-    out.shares[j] = static_cast<std::int64_t>(acc);
-  }
-  return out;
-}
-
-std::optional<std::int64_t> solve_cluster_sum_exact(
-    const std::vector<std::int64_t>& seeds, const std::vector<std::int64_t>& assembled) {
-  if (seeds.size() != assembled.size() || !seeds_valid_exact(seeds)) return std::nullopt;
-  const std::size_t m = seeds.size();
-  bool small_seeds = true;
-  for (const std::int64_t s : seeds) {
-    if (s > kExactFastSeedBound || s < -kExactFastSeedBound) {
-      small_seeds = false;
-      break;
-    }
-  }
-  if (small_seeds) {
-    // The cluster sizes the protocol actually produces; anything else
-    // falls through to the generic solve.
-    switch (m) {
-      case 3: return solve_exact_fast<3>(seeds.data(), assembled.data());
-      case 5: return solve_exact_fast<5>(seeds.data(), assembled.data());
-      case 8: return solve_exact_fast<8>(seeds.data(), assembled.data());
-      default: break;
-    }
-  }
-  return solve_cluster_sum_exact_generic(seeds, assembled);
-}
-
-std::optional<std::int64_t> solve_cluster_sum_exact_generic(
-    const std::vector<std::int64_t>& seeds, const std::vector<std::int64_t>& assembled) {
-  if (seeds.size() != assembled.size() || !seeds_valid_exact(seeds)) return std::nullopt;
-  const std::size_t m = seeds.size();
-  Fraction total;
-  for (std::size_t j = 0; j < m; ++j) {
-    Fraction w{1, 1};
-    for (std::size_t k = 0; k < m; ++k) {
-      if (k == j) continue;
-      w = w * Fraction{seeds[k], seeds[k] - seeds[j]};
-    }
-    total += w * Fraction{assembled[j], 1};
-  }
-  total.normalize();
-  if (total.den != 1) return std::nullopt;  // corrupted inputs
-  return static_cast<std::int64_t>(total.num);
-}
-
-// ---------------------------------------------------------------------
 
 net::Bytes ShareBody::to_bytes() const {
   net::WireWriter w;

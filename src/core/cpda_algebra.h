@@ -64,55 +64,6 @@ void make_shares_into(const proto::Aggregate& value, const std::vector<double>& 
     const std::vector<double>& seeds);
 
 // ---------------------------------------------------------------------
-// Exact integer path.
-//
-// The floating solve above is what a sensor would run. For tests and
-// for bit-exactness arguments we also provide the same algebra over
-// scaled 64-bit integers with exact rational interpolation (128-bit
-// intermediates). Shares are integers; the recovered sum is exact.
-
-struct ExactShareSet {
-  /// shares[j] = p(x_j) with integer coefficients.
-  std::vector<std::int64_t> shares;
-};
-
-[[nodiscard]] ExactShareSet make_shares_exact(std::int64_t value,
-                                              const std::vector<std::int64_t>& seeds,
-                                              sim::Rng& rng,
-                                              std::int64_t coeff_bound = 1'000'000);
-
-/// Exact recovery of V from integer F_j at integer seeds. Returns
-/// nullopt on invalid seeds or if the result is provably non-integral
-/// (which indicates corrupted inputs).
-///
-/// Precondition (both paths): the rational intermediates must fit in
-/// 128-bit integers, and the binding constraint is the *accumulation*,
-/// not weight formation — partial sums carry denominators that
-/// compound toward the lcm of the per-weight denominators, each up to
-/// |2·seed|^(m-1). The joint-safe domain therefore shrinks with m;
-/// the protocol envelope (roster seeds <= ~16, |F_j| <= 2^40) has
-/// orders of magnitude of headroom at every supported m, and the
-/// randomized differential suite runs at positive seeds <= 16 with the
-/// full value range (mixed-sign seeds only at reduced values). Seeds
-/// near the 2^17 dispatch bound can wrap the m = 8 accumulator in
-/// either path; callers outside tests never leave the envelope.
-///
-/// For the cluster sizes the protocol actually produces (m in {3,5,8})
-/// with small seeds (|x_j| <= 2^17), a specialized Vandermonde solve
-/// computes each Lagrange weight as one product pair N_j/D_j reduced by
-/// a single gcd instead of m-1 incremental Fraction normalizations.
-/// Lowest-terms rationals are canonical, so the fast path is bitwise
-/// identical to the generic one — pinned by CpdaExactPathTest over
-/// ~10k randomized cases.
-[[nodiscard]] std::optional<std::int64_t> solve_cluster_sum_exact(
-    const std::vector<std::int64_t>& seeds, const std::vector<std::int64_t>& assembled);
-
-/// The generic incremental-Fraction solve, kept public as the
-/// differential reference for the specialized fast path above.
-[[nodiscard]] std::optional<std::int64_t> solve_cluster_sum_exact_generic(
-    const std::vector<std::int64_t>& seeds, const std::vector<std::int64_t>& assembled);
-
-// ---------------------------------------------------------------------
 // Wire body of one encrypted share message (sealed inside ShareMsg).
 
 struct ShareBody {

@@ -13,7 +13,11 @@ void WitnessMonitor::record_input(const proto::ReportMsg& report, sim::SimTime h
 namespace {
 bool triples_match(const proto::Aggregate& a, const proto::Aggregate& b,
                    double tolerance) {
+  // Fail closed on non-finite values: the tolerance scales with the
+  // magnitudes, so +Inf against a finite value would otherwise give
+  // Inf <= Inf and match.
   const auto ok = [tolerance](double x, double y) {
+    if (!std::isfinite(x) || !std::isfinite(y)) return false;
     const double scale = std::max({1.0, std::abs(x), std::abs(y)});
     return std::abs(x - y) <= tolerance * scale;
   };

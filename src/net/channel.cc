@@ -177,7 +177,7 @@ void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_don
   // Notify the sender's MAC when the air is clear again. With no
   // callback (ACKs, taps) there is nothing to notify: the former no-op
   // event drew no RNG and touched no trace counter, so eliding it is
-  // observationally invisible — relative (time, seq) order of every
+  // observationally invisible — the relative EventKey order of every
   // remaining event is unchanged. Never a border event: the callback
   // acts on the sender's own MAC only.
   if (on_tx_done) ctx.sched->at(end, std::move(on_tx_done), sender);

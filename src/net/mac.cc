@@ -61,11 +61,7 @@ void Mac::fail_queued_to(NodeId dst) {
   metrics_.add("mac.purged", doomed.size());
   for (const Frame& f : doomed) {
     trace_drop(f);
-    if (sink_ != nullptr) {
-      sink_->dispatch_send_failed(f);
-    } else if (cbs_ && cbs_->on_send_failed) {
-      cbs_->on_send_failed(f);
-    }
+    if (sink_ != nullptr) sink_->dispatch_send_failed(f);
   }
 }
 
@@ -80,11 +76,7 @@ void Mac::send(Frame frame) {
   if (queue_.size() >= config_.queue_limit) {
     metrics_.add("mac.queue_drop");
     trace_drop(frame);
-    if (sink_ != nullptr) {
-      sink_->dispatch_send_failed(frame);
-    } else if (cbs_ && cbs_->on_send_failed) {
-      cbs_->on_send_failed(frame);
-    }
+    if (sink_ != nullptr) sink_->dispatch_send_failed(frame);
     return;
   }
   queue_.push_back(std::move(frame));
@@ -184,11 +176,7 @@ void Mac::finish_current(bool success) {
   } else {
     metrics_.add("mac.tx_failed");
     trace_drop(done);
-    if (sink_ != nullptr) {
-      sink_->dispatch_send_failed(done);
-    } else if (cbs_ && cbs_->on_send_failed) {
-      cbs_->on_send_failed(done);
-    }
+    if (sink_ != nullptr) sink_->dispatch_send_failed(done);
   }
   if (!queue_.empty()) try_start();
 }
@@ -242,11 +230,7 @@ void Mac::handle_reception(const Frame& frame, std::uint32_t& last_seen) {
   // per-link dedup-slot touch — a likely cache miss on the hottest
   // reception path (floods are broadcast).
   if (frame.is_broadcast()) {
-    if (sink_ != nullptr) {
-      sink_->dispatch_receive(frame);
-    } else if (cbs_ && cbs_->on_deliver) {
-      cbs_->on_deliver(frame);
-    }
+    if (sink_ != nullptr) sink_->dispatch_receive(frame);
     return;
   }
 
@@ -263,29 +247,19 @@ void Mac::handle_reception(const Frame& frame, std::uint32_t& last_seen) {
       dup_suppressed_.add(metrics_);
       return;
     }
-    if (sink_ != nullptr) {
-      sink_->dispatch_receive(frame);
-    } else if (cbs_ && cbs_->on_deliver) {
-      cbs_->on_deliver(frame);
-    }
+    if (sink_ != nullptr) sink_->dispatch_receive(frame);
   } else {
     // Addressed elsewhere: promiscuous overhearing path.
     if (duplicate) {
       dup_suppressed_.add(metrics_);
       return;
     }
-    if (sink_ != nullptr) {
-      sink_->dispatch_overhear(frame);
-    } else if (cbs_ && cbs_->on_overhear) {
-      cbs_->on_overhear(frame);
-    }
+    if (sink_ != nullptr) sink_->dispatch_overhear(frame);
   }
 }
 
 std::size_t Mac::footprint_bytes() const {
-  std::size_t bytes = queue_.footprint_bytes();
-  if (cbs_) bytes += sizeof(Callbacks);
-  return bytes;
+  return queue_.footprint_bytes();
 }
 
 }  // namespace icpda::net

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "net/channel.h"
 #include "net/frame_queue.h"
@@ -39,31 +37,17 @@ struct MacConfig {
 
 class Mac {
  public:
-  /// Upper-layer hooks. `on_deliver` fires for intact frames addressed
-  /// to this node or broadcast; `on_overhear` for intact frames
-  /// addressed elsewhere; `on_send_failed` when unicast retries are
-  /// exhausted (or the queue overflows).
-  struct Callbacks {
-    std::function<void(const Frame&)> on_deliver;
-    std::function<void(const Frame&)> on_overhear;
-    std::function<void(const Frame&)> on_send_failed;
-  };
-
   Mac(NodeId self, Channel& channel, sim::Scheduler& sched, sim::Rng rng,
       sim::MetricRegistry& metrics, MacConfig config);
 
   Mac(const Mac&) = delete;
   Mac& operator=(const Mac&) = delete;
 
-  void set_callbacks(Callbacks cbs) {
-    cbs_ = std::make_unique<Callbacks>(std::move(cbs));
-  }
-
-  /// Production fast path (Network::wire): route deliveries,
-  /// overhears and send failures straight into the owning Node's
-  /// dispatch_* methods instead of through the std::function hooks —
-  /// two of the three fire once per intact reception. A non-null sink
-  /// takes precedence over `cbs_`; test rigs keep using Callbacks.
+  /// Upper-layer sink (Network::wire): intact frames addressed to this
+  /// node or broadcast go to Node::dispatch_receive, intact frames
+  /// addressed elsewhere to dispatch_overhear, and frames the MAC gives
+  /// up on (retries exhausted, queue overflow, purge) to
+  /// dispatch_send_failed. Without a sink those upcalls are dropped.
   void set_sink(Node* node) { sink_ = node; }
 
   /// Attach a tracer: backoff draws record kBackoffSlots and every
@@ -86,10 +70,11 @@ class Mac {
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   /// Fault injection: the node's radio died. Flushes every queued
-  /// frame (without on_send_failed — the application is dead too),
-  /// cancels the ACK timer and freezes the MAC; subsequent send()s are
-  /// discarded until power_on(). A frame already on the air completes
-  /// physically (receivers may still decode it) but is not retried.
+  /// frame (without a send-failed upcall — the application is dead
+  /// too), cancels the ACK timer and freezes the MAC; subsequent
+  /// send()s are discarded until power_on(). A frame already on the
+  /// air completes physically (receivers may still decode it) but is
+  /// not retried.
   void power_off();
 
   /// Fault injection: the node rebooted. The MAC comes back idle with
@@ -97,12 +82,12 @@ class Mac {
   void power_on();
 
   /// Fail every *queued* unicast frame addressed to `dst` immediately
-  /// (on_send_failed per frame), without burning a retry ladder on
-  /// each. Upper layers call this once they learn a neighbour is dead:
-  /// a FIFO queue would otherwise serialise full ACK-retry ladders for
-  /// every doomed frame, head-of-line-blocking live traffic for
-  /// seconds. A frame already in service completes its ladder (its
-  /// failure is the evidence the caller acted on).
+  /// (one send-failed upcall per frame), without burning a retry
+  /// ladder on each. Upper layers call this once they learn a
+  /// neighbour is dead: a FIFO queue would otherwise serialise full
+  /// ACK-retry ladders for every doomed frame, head-of-line-blocking
+  /// live traffic for seconds. A frame already in service completes
+  /// its ladder (its failure is the evidence the caller acted on).
   void fail_queued_to(NodeId dst);
 
   [[nodiscard]] bool powered() const { return !down_; }
@@ -115,7 +100,7 @@ class Mac {
   void handle_reception(const Frame& frame, std::uint32_t& last_seen);
 
   /// Heap bytes held by this MAC beyond sizeof(Mac): queued frames and
-  /// their payloads, test callbacks.
+  /// their payloads.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
@@ -128,10 +113,6 @@ class Mac {
   sim::MetricRegistry& metrics_;
   MacConfig config_;
   sim::Tracer* tracer_ = nullptr;
-  /// Test-rig hooks only (production wiring uses sink_); boxed so the
-  /// common case pays one null pointer instead of three std::functions
-  /// (~96 bytes per node).
-  std::unique_ptr<Callbacks> cbs_;
   Node* sink_ = nullptr;
   bool border_ = false;
 

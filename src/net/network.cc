@@ -73,8 +73,12 @@ void Network::wire() {
     announce_plan(plan_, topology_.size());
     shard_scheds_.reserve(shards);
     shard_metrics_.reserve(shards);
+    // One counter table for all shards, so an event's key does not
+    // depend on the shard that holds it (sim/scheduler.h).
+    const auto counters =
+        std::make_shared<sim::CreatorCounters>(topology_.size());
     for (std::uint32_t s = 0; s < shards; ++s) {
-      shard_scheds_.push_back(std::make_unique<sim::Scheduler>());
+      shard_scheds_.push_back(std::make_unique<sim::Scheduler>(counters));
       shard_scheds_.back()->set_tracer(&tracer_);
       shard_metrics_.push_back(std::make_unique<sim::MetricRegistry>());
     }
@@ -173,8 +177,12 @@ void Network::start() {
 Network::Footprint Network::footprint() const {
   Footprint f;
   f.topology = topology_.footprint_bytes();
-  f.schedulers = scheduler_.footprint_bytes();
+  f.schedulers = scheduler_.footprint_bytes() +
+                 scheduler_.counters().footprint_bytes();
   for (const auto& s : shard_scheds_) f.schedulers += s->footprint_bytes();
+  if (!shard_scheds_.empty()) {
+    f.schedulers += shard_scheds_.front()->counters().footprint_bytes();
+  }
   f.channel = channel_ ? channel_->footprint_bytes() : 0;
   for (const auto& m : macs_) f.macs += m->footprint_bytes();
   f.metrics = metrics_.footprint_bytes();

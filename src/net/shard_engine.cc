@@ -27,54 +27,36 @@ ShardEngine::ShardEngine(std::vector<sim::Scheduler*> scheds,
     throw std::invalid_argument(
         "ShardEngine: pool smaller than shard count would deadlock");
   }
-  // The gate's tie-break needs parentage metadata; schedulers keep it
-  // off by default because only this engine ever reads it. Engines are
-  // constructed before any events are scheduled (Network::wire), so no
-  // pre-existing event misses tracking.
-  for (sim::Scheduler* s : scheds_) s->set_track_parentage(true);
+  // The gate merges shards by EventKey, which is engine-independent
+  // only if every shard draws counters from one table — and one that
+  // never grows, since the shards draw from it in parallel.
+  const sim::CreatorCounters& counters = scheds_.front()->counters();
+  if (!counters.fixed()) {
+    throw std::invalid_argument(
+        "ShardEngine: shard schedulers need a fixed-size counter table");
+  }
+  for (const sim::Scheduler* s : scheds_) {
+    if (&s->counters() != &counters) {
+      throw std::invalid_argument(
+          "ShardEngine: shard schedulers must share one counter table");
+    }
+  }
 }
-
-namespace {
-
-// Cross-shard dispatch order at the gate. Per-shard FIFO seq counters
-// are incomparable across schedulers, so a (fire time, schedule time)
-// tie is ordered by the full parent dispatch LINEAGE
-// (sim::canonical_cross_before → sim::lineage_cmp): tied children
-// fire in their parents' dispatch order, tied parents recurse one
-// causal level up, and chains bottoming out at install-scheduled
-// roots compare by the global install sequence — the exact
-// single-heap FIFO order, not a fixed-depth approximation (the PR-9
-// two-level truncation reordered deep slot-aligned MAC ties at paper
-// density, which snowballed into different carrier-sense outcomes; see
-// DESIGN.md §5k). Only chains cut at the lineage depth cap fall back
-// to the owner id, which is engine-independent.
-[[nodiscard]] bool gate_before(const sim::EventKey& a, const sim::EventKey& b) {
-  return sim::canonical_cross_before(a, b);
-}
-
-}  // namespace
 
 void ShardEngine::run_gate(sim::SimTime bound) {
   // K-way merge by repeated peek: always run the globally-least pending
-  // event below the bound. An executed event may insert new events, but
-  // never before itself — re-peeking every iteration keeps the order
-  // canonical through arbitrary insert patterns. Within a shard the
-  // scheduler's own heap supplies the (at, sched_at, seq) FIFO order;
-  // across shards gate_before() decides.
-  const std::size_t shards = scheds_.size();
+  // event below the bound, by the same EventKey order each shard's heap
+  // uses. An executed event may insert new events, but never before
+  // itself — re-peeking every iteration keeps the order canonical
+  // through arbitrary insert patterns.
   for (;;) {
-    std::size_t best = shards;
-    sim::EventKey best_key{};
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!scheds_[s]->has_next() || !(scheds_[s]->next_time() < bound)) continue;
-      const sim::EventKey k = scheds_[s]->next_key();
-      if (best == shards || gate_before(k, best_key)) {
-        best = s;
-        best_key = k;
-      }
+    sim::Scheduler* best = nullptr;
+    for (sim::Scheduler* s : scheds_) {
+      if (!s->has_next() || !(s->next_time() < bound)) continue;
+      if (best == nullptr || s->next_key() < best->next_key()) best = s;
     }
-    if (best == shards) return;
-    scheds_[best]->run_one();
+    if (best == nullptr) return;
+    best->run_one();
     ++stats_.gate_events;
   }
 }

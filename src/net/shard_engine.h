@@ -19,6 +19,15 @@
 //     is forced into the gate by border-tagging the delivery that
 //     solicits it (Channel::transmit).
 //
+// Canonical order (sim/scheduler.h): every shard heap and the gate
+// order events by one EventKey (fire time, schedule time, creator,
+// creator-local counter). No field depends on the shard that holds the
+// event — the shard schedulers share one fixed-size
+// sim::CreatorCounters table, which the constructor checks — so the
+// gate is a plain k-way merge by that key and a sharded run dispatches
+// in the single-shard order by construction, with no cross-shard
+// tie-break of its own (DESIGN.md §5j, §5k).
+//
 // Round structure: one ReductionBarrier per drain round. The last
 // worker to arrive (serially, under the barrier) alternates two moves
 // until a parallel drain is possible: while the globally-earliest
@@ -68,8 +77,10 @@ class ShardEngine {
     std::uint64_t lookahead_violations = 0;
   };
 
-  /// `scheds` are borrowed (the Network owns them); `pool` must have at
-  /// least scheds.size() workers or the barrier deadlocks.
+  /// `scheds` are borrowed (the Network owns them) and must share one
+  /// fixed-size counter table; `pool` must have at least scheds.size()
+  /// workers or the barrier deadlocks. Violations throw
+  /// std::invalid_argument.
   ShardEngine(std::vector<sim::Scheduler*> scheds, sim::SimTime lookahead,
               runner::ThreadPool& pool);
 
@@ -84,7 +95,7 @@ class ShardEngine {
 
  private:
   /// Execute every pending event with fire time < bound, across all
-  /// shards, in ascending canonical key order (k-way merge by repeated
+  /// shards, in ascending EventKey order (k-way merge by repeated
   /// peek). Runs single-threaded under the barrier.
   void run_gate(sim::SimTime bound);
 

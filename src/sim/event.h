@@ -20,10 +20,9 @@ enum class EventId : std::uint64_t {};
 /// Callback executed when an event fires. Events carry no payload of
 /// their own; closures capture whatever state they need.
 ///
-/// Dispatch order is (time, schedule-order): events scheduled earlier
-/// at equal times fire first — the deterministic FIFO tie-break that
-/// reproducibility rests on. The ordering key is an internal monotone
-/// sequence number, not the EventId (see scheduler.h).
+/// Dispatch order is the canonical EventKey (fire time, schedule time,
+/// creator, creator-local counter) that reproducibility rests on; the
+/// EventId plays no part in it (see scheduler.h).
 ///
 /// Move-only with small-buffer storage (DESIGN.md §5i): a simulation
 /// at N = 1000 dispatches ~10^5 events per epoch, and std::function's

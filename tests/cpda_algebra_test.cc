@@ -1,9 +1,8 @@
-// CPDA share algebra: reconstruction exactness, privacy structure,
-// exact-integer path, parameterized over cluster sizes.
+// CPDA share algebra: reconstruction exactness and privacy structure,
+// parameterized over cluster sizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "core/cpda_algebra.h"
 #include "sim/rng.h"
@@ -130,58 +129,6 @@ TEST(CpdaAlgebraTest, PollutedAssemblyChangesSolution) {
   ASSERT_TRUE(clean && dirty);
   EXPECT_NEAR(clean->sum, truth.sum, 1e-8);
   EXPECT_GT(std::abs(dirty->sum - truth.sum), 1.0);
-}
-
-// ---- exact integer path ---------------------------------------------
-
-class CpdaExactTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(CpdaExactTest, BitExactRecovery) {
-  const std::size_t m = GetParam();
-  sim::Rng rng(2000 + m);
-  std::vector<std::int64_t> seeds(m);
-  std::iota(seeds.begin(), seeds.end(), 1);
-
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<std::int64_t> values(m);
-    std::int64_t truth = 0;
-    for (auto& v : values) {
-      v = rng.range(-1'000'000'000, 1'000'000'000);
-      truth += v;
-    }
-    std::vector<std::int64_t> assembled(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto s = make_shares_exact(values[i], seeds, rng);
-      for (std::size_t j = 0; j < m; ++j) assembled[j] += s.shares[j];
-    }
-    const auto solved = solve_cluster_sum_exact(seeds, assembled);
-    ASSERT_TRUE(solved.has_value());
-    EXPECT_EQ(*solved, truth);  // bit-exact, no tolerance
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ClusterSizes, CpdaExactTest,
-                         ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(CpdaExactTest, DetectsNonIntegralCorruption) {
-  // A single +1 on one assembled value makes the interpolation
-  // non-integral for most seed sets -> the solver reports corruption.
-  sim::Rng rng(3);
-  const std::vector<std::int64_t> seeds{1, 2, 3};
-  std::vector<std::int64_t> assembled(3, 0);
-  for (std::int64_t v : {10, 20, 30}) {
-    const auto s = make_shares_exact(v, seeds, rng);
-    for (std::size_t j = 0; j < 3; ++j) assembled[j] += s.shares[j];
-  }
-  assembled[0] += 1;
-  // Weights at zero for seeds 1,2,3 are 3,-3,1: result stays integral,
-  // so corruption shows as a wrong value, not a non-integral one.
-  const auto solved = solve_cluster_sum_exact(seeds, assembled);
-  ASSERT_TRUE(solved.has_value());
-  EXPECT_NE(*solved, 60);
-  // Invalid seeds are rejected outright.
-  EXPECT_FALSE(solve_cluster_sum_exact({1, 1, 2}, assembled).has_value());
-  EXPECT_FALSE(solve_cluster_sum_exact({0, 1, 2}, assembled).has_value());
 }
 
 TEST(ShareBodyTest, RoundTrip) {

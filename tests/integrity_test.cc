@@ -1,6 +1,8 @@
 // WitnessMonitor: itemized audits on synthetic traces.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/integrity.h"
 
 namespace icpda::core {
@@ -149,6 +151,36 @@ TEST(WitnessMonitorTest, ToleranceScalesWithMagnitude) {
   near.sum += 0.5;  // relative error 5e-13, far below tolerance
   const auto v = m.audit(head_report({{kHead, near}}), sim::seconds(1.0));
   EXPECT_EQ(v.kind, Kind::kClean);
+}
+
+TEST(WitnessMonitorTest, InfiniteValueAgainstFiniteWitnessIsMismatch) {
+  // The tolerance scales with max(|x|, |y|), so an unguarded compare
+  // reads +Inf against a finite value as Inf <= Inf and matches. Each
+  // case below keeps the rest of the report finite so that exactly one
+  // compare sees the infinity.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Aggregate cluster{3, 10, 40};
+  const Aggregate child{1, 4, 16};
+
+  {  // Head item +Inf, claimed total left at the finite cluster sum.
+    auto m = armed_monitor(cluster);
+    auto report = head_report({{kHead, cluster}});
+    report.items[0].value.sum = kInf;
+    EXPECT_EQ(m.audit(report, sim::seconds(2.0)).kind, Kind::kMismatch);
+  }
+  {  // Claimed total +Inf over finite items.
+    auto m = armed_monitor(cluster);
+    auto report = head_report({{kHead, cluster}});
+    report.aggregate.sum = kInf;
+    EXPECT_EQ(m.audit(report, sim::seconds(2.0)).kind, Kind::kMismatch);
+  }
+  {  // Overheard child item replaced by +Inf.
+    auto m = armed_monitor(cluster);
+    m.record_input(child_report(3, child), sim::seconds(1.0));
+    auto report = head_report({{kHead, cluster}, {3, child}});
+    report.items[1].value.sum_sq = kInf;
+    EXPECT_EQ(m.audit(report, sim::seconds(2.0)).kind, Kind::kMismatch);
+  }
 }
 
 TEST(WitnessMonitorTest, RetransmittedInputOverwrites) {

@@ -23,7 +23,7 @@ cd "$repo_root"
 jobs="$(nproc 2>/dev/null || echo 4)"
 lanes="${ICPDA_SAN_LANES:-asan ubsan tsan}"
 
-filter="${1:-FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|CpdaExactPathTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
+filter="${1:-FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
 
 case " $lanes " in *" asan "*)
   echo "== asan (address+undefined) =="

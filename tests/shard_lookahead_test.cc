@@ -15,12 +15,10 @@
 //     what runs when. This is the same property the windowed run must
 //     hold against any other window placement, checked against the
 //     degenerate one.
-//   * one plain Scheduler — the exactly-once oracle: the same causal
-//     program fires the same multiset of (shard, label, time) events,
-//     none lost at window seams, none doubled. (Exact interleaving at
-//     cross-shard (fire, sched) ties legitimately differs here: a
-//     single heap breaks them by global FIFO, the gate by owner id —
-//     see ShardEngine's gate_before.)
+//   * one plain Scheduler — the single-heap oracle: every scheduler
+//     orders by the same shard-independent EventKey, so each synthetic
+//     shard's dispatch log must equal the engine's EXACTLY — none lost
+//     at window seams, none doubled, none reordered.
 // Plus, per case: the engine's lookahead-violation counter stays zero,
 // and every event observes its own scheduler clock at exactly its fire
 // time.
@@ -38,10 +36,10 @@
 // the channel does for cross-shard delivery.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,6 +53,27 @@ namespace icpda::net {
 namespace {
 
 constexpr sim::SimTime kLookahead{1.0 / 64};  // exactly representable
+
+/// Owner ids are shard * 4096 + local id, for at most 8 shards.
+constexpr std::size_t kCreators = 8 * 4096;
+
+/// Shard schedulers sharing one fixed counter table, as the engine
+/// requires.
+std::vector<std::unique_ptr<sim::Scheduler>> make_shards(std::size_t n) {
+  const auto counters = std::make_shared<sim::CreatorCounters>(kCreators);
+  std::vector<std::unique_ptr<sim::Scheduler>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(std::make_unique<sim::Scheduler>(counters));
+  }
+  return out;
+}
+
+std::vector<sim::Scheduler*> raw_ptrs(
+    const std::vector<std::unique_ptr<sim::Scheduler>>& scheds) {
+  std::vector<sim::Scheduler*> raw;
+  for (const auto& s : scheds) raw.push_back(s.get());
+  return raw;
+}
 
 std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t x = a + 0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2);
@@ -120,8 +139,9 @@ struct ProgramRun {
 
   void schedule(std::size_t shard, std::uint64_t label, sim::SimTime t,
                 std::uint32_t depth, bool border) {
-    // Owner ids must be disjoint across synthetic shards (the gate
-    // tie-break relies on an owner living in exactly one shard).
+    // Owner ids must be disjoint across synthetic shards: an owner's
+    // events live on one shard, so only that shard's drains write its
+    // counter.
     const auto owner =
         static_cast<std::uint32_t>(shard * 4096 + (label % 4096));
     sim::Scheduler& sched = sched_of(shard);
@@ -189,10 +209,8 @@ struct ProgramRun {
 /// synthetic shard).
 ProgramRun run_engine(const CaseParams& p, runner::ThreadPool& pool,
                       bool serialize_all, std::uint64_t* violations) {
-  std::vector<sim::Scheduler> scheds(p.shards);
-  std::vector<sim::Scheduler*> raw;
-  raw.reserve(p.shards);
-  for (auto& s : scheds) raw.push_back(&s);
+  const auto scheds = make_shards(p.shards);
+  const std::vector<sim::Scheduler*> raw = raw_ptrs(scheds);
   ShardEngine engine(raw, kLookahead, pool);
   ProgramRun run;
   run.install(p, raw);
@@ -241,15 +259,11 @@ TEST(ShardLookaheadTest, RandomizedBorderAdversarialSweep) {
     for (std::size_t s = 0; s < p.shards; ++s) {
       ASSERT_EQ(par.logs[s], ser.logs[s]) << "shard " << s;
     }
-    // Exactly-once vs the plain scheduler: same multiset of
-    // (shard, label, time) dispatches, none lost, none doubled.
+    // Sharded equals single-heap, exactly: same dispatches in the same
+    // per-shard order, none lost, none doubled.
     ASSERT_EQ(par.fired(), ref.fired());
     for (std::size_t s = 0; s < p.shards; ++s) {
-      auto a = par.logs[s];
-      auto b = ref.logs[s];
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      ASSERT_EQ(a, b) << "shard " << s;
+      ASSERT_EQ(par.logs[s], ref.logs[s]) << "shard " << s;
     }
     total_fired += par.fired();
   }
@@ -263,10 +277,10 @@ TEST(ShardLookaheadTest, RandomizedBorderAdversarialSweep) {
 // interior followers inside the same lookahead window. 64 variants
 // permute which shard hosts the root, whether a second border event
 // ties at the instant, owner-id assignment, and installation order
-// (which varies every seq tie-break) — the per-shard dispatch logs
-// must be identical between the windowed run and the fully serialized
-// gate regardless, and the engine's gate/parallel split must account
-// for every fired event.
+// (which varies every install counter) — the per-shard dispatch logs
+// must be identical between the windowed run, the fully serialized
+// gate and a single scheduler regardless, and the engine's
+// gate/parallel split must account for every fired event.
 TEST(ShardLookaheadTest, SameInstantInteriorBorderInterleavings) {
   runner::ThreadPool pool(4);
   const sim::SimTime t0 = kLookahead * 4.0;
@@ -284,9 +298,8 @@ TEST(ShardLookaheadTest, SameInstantInteriorBorderInterleavings) {
     auto run_program = [&](int mode, std::uint64_t* accounted)
         -> std::vector<std::vector<std::string>> {
       std::vector<std::vector<std::string>> logs(2);
-      std::vector<sim::Scheduler> scheds(mode == 2 ? 1 : 2);
-      std::vector<sim::Scheduler*> raw;
-      for (auto& s : scheds) raw.push_back(&s);
+      const auto scheds = make_shards(mode == 2 ? 1 : 2);
+      const std::vector<sim::Scheduler*> raw = raw_ptrs(scheds);
       auto sched_of = [&raw](std::size_t shard) -> sim::Scheduler& {
         return *raw[raw.size() == 1 ? 0 : shard];
       };
@@ -350,8 +363,8 @@ TEST(ShardLookaheadTest, SameInstantInteriorBorderInterleavings) {
       };
 
       // Permute installation order: every order assigns different
-      // scheduler seqs, so same-instant ties are broken differently
-      // unless the gate's canonical order is genuinely seq-exact.
+      // install counters, so same-instant ties are broken differently
+      // unless the gate merges by exactly the heaps' key.
       const std::array<std::array<int, 3>, 6> perms{{{0, 1, 2},
                                                      {0, 2, 1},
                                                      {1, 0, 2},
@@ -365,7 +378,7 @@ TEST(ShardLookaheadTest, SameInstantInteriorBorderInterleavings) {
       }
 
       if (mode == 2) {
-        scheds[0].run();
+        scheds[0]->run();
       } else {
         ShardEngine engine(raw, kLookahead, pool);
         engine.run(sim::SimTime::infinity(), /*serialize_all=*/mode == 1);
@@ -388,14 +401,9 @@ TEST(ShardLookaheadTest, SameInstantInteriorBorderInterleavings) {
     // windowed and fully serialized execution.
     ASSERT_EQ(par[0], ser[0]);
     ASSERT_EQ(par[1], ser[1]);
-    // Exactly-once vs the single scheduler (same per-shard multisets).
-    for (std::size_t s = 0; s < 2; ++s) {
-      auto a = par[s];
-      auto b = ref[s];
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      ASSERT_EQ(a, b) << "shard " << s;
-    }
+    // And equal to the single scheduler, in order.
+    ASSERT_EQ(par[0], ref[0]);
+    ASSERT_EQ(par[1], ref[1]);
     // The engine's own accounting covers every dispatched event.
     ASSERT_EQ(accounted, par[0].size() + par[1].size());
   }
@@ -404,22 +412,31 @@ TEST(ShardLookaheadTest, SameInstantInteriorBorderInterleavings) {
 // Engine construction contracts: misuse fails fast, loudly.
 TEST(ShardLookaheadTest, ConstructorRejectsMisuse) {
   runner::ThreadPool pool(2);
-  sim::Scheduler a, b, c;
+  const auto shared = make_shards(3);
+  sim::Scheduler* a = shared[0].get();
   EXPECT_THROW(ShardEngine({}, kLookahead, pool), std::invalid_argument);
-  EXPECT_THROW(ShardEngine({&a}, sim::SimTime::zero(), pool),
+  EXPECT_THROW(ShardEngine({a}, sim::SimTime::zero(), pool),
                std::invalid_argument);
-  EXPECT_THROW(ShardEngine({&a, &b, &c}, kLookahead, pool),
+  EXPECT_THROW(ShardEngine(raw_ptrs(shared), kLookahead, pool),
                std::invalid_argument);  // pool smaller than shard count
+  // Keys are comparable across shards only with one shared table, and
+  // parallel drains need it fixed-size.
+  const auto other = make_shards(1);
+  EXPECT_THROW(ShardEngine({a, other[0].get()}, kLookahead, pool),
+               std::invalid_argument);
+  sim::Scheduler own_a, own_b;
+  EXPECT_THROW(ShardEngine({&own_a, &own_b}, kLookahead, pool),
+               std::invalid_argument);
 }
 
 // An exception thrown inside an event must not deadlock the barrier:
 // every worker unwinds, and run() rethrows the original error.
 TEST(ShardLookaheadTest, EventExceptionPropagatesWithoutDeadlock) {
   runner::ThreadPool pool(4);
-  sim::Scheduler a, b;
-  a.at(sim::seconds(0.5), [] { throw std::runtime_error("boom"); }, 7);
-  b.at(sim::seconds(1.0), [] {}, 9);
-  ShardEngine engine({&a, &b}, kLookahead, pool);
+  const auto scheds = make_shards(2);
+  scheds[0]->at(sim::seconds(0.5), [] { throw std::runtime_error("boom"); }, 7);
+  scheds[1]->at(sim::seconds(1.0), [] {}, 9);
+  ShardEngine engine(raw_ptrs(scheds), kLookahead, pool);
   EXPECT_THROW(engine.run(sim::SimTime::infinity(), false), std::runtime_error);
 }
 

@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/metrics.h"
@@ -118,6 +122,130 @@ TEST(SchedulerTest, ResetClearsQueueAndClock) {
   sched.run();
   EXPECT_FALSE(fired);
   EXPECT_DOUBLE_EQ(sched.now().seconds(), 0.0);
+}
+
+// ---- canonical event key (creator, counter) -------------------------
+
+// At an equal (fire, schedule) time, the creator — the owner of the
+// dispatch that scheduled an event — decides, whatever order the
+// creators' dispatches ran in.
+TEST(SchedulerTest, TiedEventsOfTwoCreatorsPopInCreatorOrder) {
+  for (const bool high_first : {true, false}) {
+    Scheduler sched;
+    std::vector<std::string> order;
+    const auto parent = [&](std::uint32_t owner, const char* tag) {
+      sched.at(
+          seconds(1.0),
+          [&sched, &order, tag] {
+            for (int i = 0; i < 2; ++i) {
+              sched.at(seconds(2.0), [&order, tag, i] {
+                order.push_back(tag + std::to_string(i));
+              });
+            }
+          },
+          owner);
+    };
+    if (high_first) {
+      parent(5, "five");
+      parent(3, "three");
+    } else {
+      parent(3, "three");
+      parent(5, "five");
+    }
+    sched.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"three0", "three1", "five0",
+                                               "five1"}))
+        << "high_first=" << high_first;
+  }
+}
+
+// One creator's tied events pop in the order it scheduled them, across
+// several of its dispatches.
+TEST(SchedulerTest, OneCreatorsEventsPopInScheduleOrder) {
+  Scheduler sched;
+  std::vector<int> order;
+  for (int d = 0; d < 3; ++d) {
+    sched.at(
+        seconds(1.0),
+        [&sched, &order, d] {
+          for (int i = 0; i < 4; ++i) {
+            sched.at(seconds(2.0), [&order, d, i] { order.push_back(d * 4 + i); });
+          }
+        },
+        7);
+  }
+  sched.run();
+  std::vector<int> expected(12);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+// Events scheduled outside any dispatch order by the install sequence,
+// not by their owners, across every scheduler that shares the counter
+// table — and after runtime-scheduled events at a (fire, schedule)
+// time tie.
+TEST(SchedulerTest, InstallTimeEventsOrderByInstallSequence) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.at(seconds(1.0), [&order] { order.push_back(9); }, 9);
+  sched.at(seconds(1.0), [&order] { order.push_back(1); }, 1);
+  sched.at(
+      SimTime::zero(),
+      [&sched, &order] {
+        sched.at(seconds(1.0), [&order] { order.push_back(2); }, 2);
+      },
+      4);
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 9, 1}));
+
+  const auto counters = std::make_shared<CreatorCounters>(16);
+  Scheduler a(counters);
+  Scheduler b(counters);
+  b.at(seconds(1.0), [] {}, 3);
+  a.at(seconds(1.0), [] {}, 2);
+  EXPECT_EQ(b.next_key().creator, kNoEventOwner);
+  EXPECT_LT(b.next_key(), a.next_key());
+}
+
+// The creator is the acting dispatch's owner even when it schedules on
+// another scheduler (the sharded gate's cross-shard delivery), and the
+// counter is shared with that scheduler.
+TEST(SchedulerTest, CreatorFollowsTheDispatchAcrossSchedulers) {
+  const auto counters = std::make_shared<CreatorCounters>(16);
+  Scheduler home(counters);
+  Scheduler other(counters);
+  home.at(
+      seconds(1.0),
+      [&home, &other] {
+        home.at(seconds(2.0), [] {}, 4);
+        other.advance_to(home.now());
+        other.at(seconds(2.0), [] {}, 6);
+      },
+      4);
+  ASSERT_TRUE(home.run_one());
+  const EventKey mine = home.next_key();
+  const EventKey theirs = other.next_key();
+  EXPECT_EQ(mine.creator, 4u);
+  EXPECT_EQ(theirs.creator, 4u);
+  EXPECT_EQ(theirs.sched_at, seconds(1.0));
+  EXPECT_EQ(theirs.counter, mine.counter + 1);
+  EXPECT_LT(mine, theirs);
+}
+
+TEST(SchedulerTest, CounterOverflowGuardThrows) {
+  std::uint32_t next = std::numeric_limits<std::uint32_t>::max() - 1;
+  EXPECT_EQ(take_counter(next), std::numeric_limits<std::uint32_t>::max() - 1);
+  EXPECT_THROW((void)take_counter(next), std::overflow_error);
+  EXPECT_EQ(next, std::numeric_limits<std::uint32_t>::max());  // not wrapped
+
+  // A fixed table refuses creators outside its range instead of
+  // growing; a private one grows.
+  CreatorCounters fixed(4);
+  EXPECT_EQ(fixed.take(3), 0u);
+  EXPECT_THROW((void)fixed.take(4), std::out_of_range);
+  CreatorCounters growable;
+  EXPECT_EQ(growable.take(1000), 0u);
+  EXPECT_EQ(growable.take(1000), 1u);
 }
 
 // ---- Rng ------------------------------------------------------------
