@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
 
   runner::Campaign c;
   c.name = "F3: COUNT accuracy vs network size";
-  c.label = "bench_accuracy";
   c.experiment = static_cast<std::uint64_t>(bench::Experiment::kAccuracy);
   c.sweep.axis("n", {200, 300, 400, 500, 600});
   c.trials = bench::trials();
@@ -24,13 +23,13 @@ int main(int argc, char** argv) {
     const std::size_t n = ctx.point.count("n");
     const double truth = static_cast<double>(n - 1);  // BS holds no reading
     {
-      net::Network network(bench::paper_network(n, ctx.seed));
+      net::Network network(bench::paper_network(ctx, n));
       baselines::TagConfig cfg;
       const auto out = baselines::run_tag_epoch(network, cfg, proto::constant_reading(1.0));
       if (out.result) ctx.metrics.observe("tag_acc", out.result->count / truth);
     }
     {
-      net::Network network(bench::paper_network(n, ctx.seed));
+      net::Network network(bench::paper_network(ctx, n));
       core::IcpdaConfig cfg;
       const auto out = core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys);
       if (out.result) ctx.metrics.observe("icpda_acc", out.result->count / truth);

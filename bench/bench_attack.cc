@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   c.name =
       "A5: adversary suite (disclosure / bias / detection vs compromised "
       "fraction, unhardened vs hardened)";
-  c.label = "bench_attack";
   c.experiment = static_cast<std::uint64_t>(bench::Experiment::kAttack);
   c.sweep.categorical("attack", {"disclosure", "pollution", "replay", "withhold"})
       .axis("fraction", {0.0, 0.1, 0.2, 0.3})
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
   c.trials = bench::trials();
 
   c.cell = [&keys](runner::CellContext& ctx) {
-    net::Network network(bench::paper_network(kNodes, ctx.seed));
+    net::Network network(bench::paper_network(ctx, kNodes));
     const bool hardened = ctx.point.count("hardened") == 1;
 
     core::AdversaryPlan plan;

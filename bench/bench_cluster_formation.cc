@@ -1,55 +1,56 @@
 // T2 [reconstructed] — cluster-size distribution vs the head
 // probability pc: mean size (model: 1/pc), share of privacy-degraded
 // clusters (size < 3) and lone heads.
-#include <cstdio>
-
 #include "analysis/models.h"
 #include "bench/bench_util.h"
 #include "core/icpda.h"
-#include "sim/metrics.h"
+#include "runner/campaign.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace icpda;
-  bench::print_header(
-      "T2: cluster formation vs pc (N=400)",
-      "pc\tmean_size\tmodel_1/pc\tclusters\tlone_frac\tsmall_frac\tunclustered");
-  const double pcs[] = {0.15, 0.2, 0.3, 0.4, 0.5};
   const auto keys = bench::default_keys();
-  std::size_t row = 0;
-  for (const double pc : pcs) {
-    sim::RunningStats mean_size;
-    sim::RunningStats lone;
-    sim::RunningStats small;
-    sim::RunningStats unclustered;
-    for (int t = 0; t < bench::trials(); ++t) {
-      net::Network network(
-          bench::paper_network(400, bench::run_seed(bench::Experiment::kClusterFormation, row, static_cast<std::uint64_t>(t))));
-      core::IcpdaConfig cfg;
-      cfg.pc = pc;
-      const auto out =
-          core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys);
-      double total = 0;
-      double clusters = 0;
-      double lone_n = 0;
-      double small_n = 0;
-      for (const auto& [size, count] : out.cluster_sizes) {
-        total += static_cast<double>(size) * count;
-        clusters += count;
-        if (size == 1) lone_n += count;
-        if (size < 3) small_n += count;
-      }
-      if (clusters > 0) {
-        mean_size.add(total / clusters);
-        lone.add(lone_n / clusters);
-        small.add(small_n / clusters);
-      }
-      unclustered.add(out.unclustered);
+
+  runner::Campaign c;
+  c.name = "T2: cluster formation vs pc (N=400)";
+  c.experiment = static_cast<std::uint64_t>(bench::Experiment::kClusterFormation);
+  c.sweep.axis("pc", {0.15, 0.2, 0.3, 0.4, 0.5});
+  c.trials = bench::trials();
+
+  c.cell = [&keys](runner::CellContext& ctx) {
+    net::Network network(bench::paper_network(ctx, 400));
+    core::IcpdaConfig cfg;
+    cfg.pc = ctx.point.get("pc");
+    const auto out = core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys);
+    double total = 0;
+    double clusters = 0;
+    double lone = 0;
+    double small = 0;
+    for (const auto& [size, count] : out.cluster_sizes) {
+      total += static_cast<double>(size) * count;
+      clusters += count;
+      if (size == 1) lone += count;
+      if (size < 3) small += count;
     }
-    std::printf("%.2f\t%.2f\t%.2f\t%llu\t%.3f\t%.3f\t%.1f\n", pc, mean_size.mean(),
-                analysis::expected_cluster_size(pc),
-                static_cast<unsigned long long>(mean_size.count()), lone.mean(),
-                small.mean(), unclustered.mean());
-    ++row;
-  }
-  return 0;
+    if (clusters > 0) {
+      ctx.metrics.observe("mean_size", total / clusters);
+      ctx.metrics.observe("lone", lone / clusters);
+      ctx.metrics.observe("small", small / clusters);
+    }
+    ctx.metrics.observe("unclustered", out.unclustered);
+  };
+
+  c.row = [](const runner::Point& p, const runner::PointSummary& s,
+             runner::JsonRow& row) {
+    const auto& m = s.metrics;
+    const double pc = p.get("pc");
+    row.num("pc", pc, 2)
+        .num("mean_size", m.stat("mean_size").mean(), 2)
+        .num("model_inv_pc", analysis::expected_cluster_size(pc), 2)
+        .num("clusters", m.stat("mean_size").count())
+        .num("lone_frac", m.stat("lone").mean(), 3)
+        .num("small_frac", m.stat("small").mean(), 3)
+        .num("unclustered", m.stat("unclustered").mean(), 1);
+  };
+
+  return runner::bench_main(c, argc, argv);
 }

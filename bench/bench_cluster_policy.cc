@@ -2,44 +2,45 @@
 // reading. kClearReport preserves accuracy at a privacy cost;
 // kDrop preserves privacy at an accuracy cost. The trade shifts with
 // density (sparser networks mint more lone heads).
-#include <cstdio>
-
 #include "bench/bench_util.h"
 #include "core/icpda.h"
-#include "sim/metrics.h"
+#include "runner/campaign.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace icpda;
-  bench::print_header("A3: small-cluster policy (accuracy vs privacy degradation)",
-                      "N\tpolicy\taccuracy\tdegraded_privacy_nodes\tlone_heads");
   const auto keys = bench::default_keys();
-  std::size_t row = 0;
-  for (const std::size_t n : {200u, 400u, 600u}) {
-    for (const auto policy :
-         {core::SmallClusterPolicy::kClearReport, core::SmallClusterPolicy::kDrop}) {
-      sim::RunningStats acc;
-      sim::RunningStats degraded;
-      sim::RunningStats lone;
-      for (int t = 0; t < bench::trials(); ++t) {
-        net::Network network(bench::paper_network(
-            n, bench::run_seed(bench::Experiment::kClusterPolicy, row, static_cast<std::uint64_t>(t))));
-        core::IcpdaConfig cfg;
-        cfg.small_cluster_policy = policy;
-        const auto out =
-            core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys);
-        if (out.result) acc.add(out.result->count / static_cast<double>(n - 1));
-        degraded.add(out.degraded_privacy);
-        double lone_n = 0;
-        if (const auto it = out.cluster_sizes.find(1); it != out.cluster_sizes.end()) {
-          lone_n = it->second;
-        }
-        lone.add(lone_n);
-      }
-      std::printf("%zu\t%s\t%.3f\t%.1f\t%.1f\n", n,
-                  policy == core::SmallClusterPolicy::kClearReport ? "clear" : "drop",
-                  acc.mean(), degraded.mean(), lone.mean());
-      ++row;
+
+  runner::Campaign c;
+  c.name = "A3: small-cluster policy (accuracy vs privacy degradation)";
+  c.experiment = static_cast<std::uint64_t>(bench::Experiment::kClusterPolicy);
+  c.sweep.axis("n", {200, 400, 600}).categorical("policy", {"clear", "drop"});
+  c.trials = bench::trials();
+
+  c.cell = [&keys](runner::CellContext& ctx) {
+    const std::size_t n = ctx.point.count("n");
+    net::Network network(bench::paper_network(ctx, n));
+    core::IcpdaConfig cfg;
+    cfg.small_cluster_policy = ctx.point.count("policy") == 0
+                                   ? core::SmallClusterPolicy::kClearReport
+                                   : core::SmallClusterPolicy::kDrop;
+    const auto out = core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys);
+    if (out.result) {
+      ctx.metrics.observe("accuracy", out.result->count / static_cast<double>(n - 1));
     }
-  }
-  return 0;
+    ctx.metrics.observe("degraded", out.degraded_privacy);
+    const auto lone = out.cluster_sizes.find(1);
+    ctx.metrics.observe("lone", lone == out.cluster_sizes.end() ? 0.0 : lone->second);
+  };
+
+  c.row = [](const runner::Point& p, const runner::PointSummary& s,
+             runner::JsonRow& row) {
+    const auto& m = s.metrics;
+    row.num("n", static_cast<std::uint64_t>(p.count("n")))
+        .str("policy", p.label("policy"))
+        .num("accuracy", m.stat("accuracy").mean(), 3)
+        .num("degraded_privacy_nodes", m.stat("degraded").mean(), 1)
+        .num("lone_heads", m.stat("lone").mean(), 1);
+  };
+
+  return runner::bench_main(c, argc, argv);
 }

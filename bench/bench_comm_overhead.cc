@@ -43,22 +43,8 @@ int main(int argc, char** argv) {
   using namespace icpda;
   const auto keys = bench::default_keys();
 
-  runner::RunnerOptions options;
-  std::string error;
-  if (!runner::parse_cli(argc, argv, options, error)) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    runner::print_usage(argv[0]);
-    return 2;
-  }
-  if (options.help) {
-    runner::print_usage(argv[0]);
-    return 0;
-  }
-  const bool traced = options.trace;
-
   runner::Campaign c;
   c.name = "F2: total on-air bytes vs network size";
-  c.label = "bench_comm_overhead";
   c.experiment = static_cast<std::uint64_t>(bench::Experiment::kCommOverhead);
   // Default axis is the paper's; ICPDA_N_AXIS=2000,3000,4000,5000
   // turns this binary into the T3 scaling sweep (EXPERIMENTS.md).
@@ -68,21 +54,21 @@ int main(int argc, char** argv) {
   c.cell = [&keys](runner::CellContext& ctx) {
     const std::size_t n = ctx.point.count("n");
     {
-      net::Network network(bench::paper_network(n, ctx.seed));
+      net::Network network(bench::paper_network(ctx, n));
       baselines::TagConfig cfg;
       baselines::run_tag_epoch(network, cfg, proto::constant_reading(1.0));
       ctx.metrics.observe("tag_bytes", static_cast<double>(
                                            network.metrics().counter("channel.tx_bytes")));
     }
     {
-      net::Network network(bench::paper_network(n, ctx.seed));
+      net::Network network(bench::paper_network(ctx, n));
       baselines::SmartConfig cfg;
       baselines::run_smart_epoch(network, cfg, proto::constant_reading(1.0), keys);
       ctx.metrics.observe("smart_bytes", static_cast<double>(
                                              network.metrics().counter("channel.tx_bytes")));
     }
     {
-      net::Network network(bench::paper_network(n, ctx.seed));
+      net::Network network(bench::paper_network(ctx, n));
       if (ctx.trace) {
         // Sender-side byte accounting only: every kTxBytes event must
         // survive ring wrap for the conservation check to be meaningful.
@@ -121,8 +107,8 @@ int main(int argc, char** argv) {
     }
   };
 
-  c.row = [traced](const runner::Point& p, const runner::PointSummary& s,
-                   runner::JsonRow& row) {
+  c.row = [](const runner::Point& p, const runner::PointSummary& s,
+             runner::JsonRow& row) {
     const double tag = s.metrics.stat("tag_bytes").mean();
     const double smart = s.metrics.stat("smart_bytes").mean();
     const double icpda_b = s.metrics.stat("icpda_bytes").mean();
@@ -131,7 +117,7 @@ int main(int argc, char** argv) {
         .num("smart_bytes", smart, 0)
         .num("icpda_bytes", icpda_b, 0)
         .num("icpda_over_tag", tag > 0 ? icpda_b / tag : 0.0, 2);
-    if (traced) {
+    if (s.trace) {
       for (const sim::TracePhase phase : kReportedPhases) {
         const char* name = sim::trace_phase_name(phase);
         row.num(std::string("phase_") + name + "_bytes",
@@ -140,5 +126,5 @@ int main(int argc, char** argv) {
     }
   };
 
-  return runner::run_campaign(c, options);
+  return runner::bench_main(c, argc, argv);
 }

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   runner::Campaign c;
   c.name = "F9: crash-rate sweep (coverage / accuracy / false rejections / overhead)";
-  c.label = "bench_fault";
   c.experiment = static_cast<std::uint64_t>(bench::Experiment::kFault);
   c.sweep.axis("n", {200, 400, 600})
       .axis("crash_rate", {0.0, 0.05, 0.10, 0.20, 0.30});
@@ -29,7 +28,7 @@ int main(int argc, char** argv) {
 
   c.cell = [&keys](runner::CellContext& ctx) {
     net::Network network(
-        bench::paper_network(ctx.point.count("n"), ctx.seed));
+        bench::paper_network(ctx, ctx.point.count("n")));
     core::IcpdaConfig cfg;
     // Healing budget: an exhausted MAC retry ladder plus reroute
     // backoff and a watchdog rehand need ~2.5 s beyond the default

@@ -184,13 +184,10 @@ void BM_IcpdaEpoch(benchmark::State& state) {
   // Full iCPDA epochs on one paper-density deployment: the end-to-end
   // number the T3 wall-clock-vs-N experiment tracks. The deployment is
   // built outside the timed region; each iteration is one epoch.
-  // Always single-shard (the perf-baseline kernel must not drift with
-  // the caller's ICPDA_SHARDS) — BM_IcpdaEpochSharded owns that axis.
+  // Always single-shard — BM_IcpdaEpochSharded owns that axis.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto keys = bench::default_keys();
-  net::NetworkConfig net_cfg = bench::paper_network(n, 0x9E3779B9);
-  net_cfg.shards = 1;
-  net::Network network(net_cfg);
+  net::Network network(bench::paper_network(n, 0x9E3779B9));
   const core::IcpdaConfig cfg;
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -270,10 +267,8 @@ void BM_ServicePipeline(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     // The dispatcher drives network.scheduler() directly and is not
-    // shard-aware (net/network.h): pin shards = 1 regardless of env.
-    net::NetworkConfig net_cfg = bench::paper_network(200, 0x51CDA);
-    net_cfg.shards = 1;
-    net::Network network(net_cfg);
+    // shard-aware (net/network.h): one engine.
+    net::Network network(bench::paper_network(200, 0x51CDA));
     service::ServiceConfig cfg;
     cfg.offered_load_qps = 0.4;
     cfg.query_count = 8;

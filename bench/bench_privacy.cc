@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
 
   runner::Campaign c;
   c.name = "F4: P_disclose vs px (rank-test Monte Carlo vs closed form)";
-  c.label = "bench_privacy";
   c.experiment = static_cast<std::uint64_t>(bench::Experiment::kPrivacy);
   c.sweep.axis("px", {0.05, 0.1, 0.2, 0.3, 0.4, 0.5});
   c.trials = bench::trials();

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   c.name =
       "S1: continuous-query service (latency percentiles / drop rate / "
       "accuracy vs offered load, serialized vs pipelined)";
-  c.label = "bench_service";
   c.experiment = static_cast<std::uint64_t>(bench::Experiment::kService);
   c.sweep.axis("load_qps", {0.05, 0.10, 0.20, 0.40})
       .axis("max_in_flight", {1.0, 4.0});
@@ -40,11 +39,8 @@ int main(int argc, char** argv) {
 
   c.cell = [&keys](runner::CellContext& ctx) {
     // The dispatcher drives network.scheduler() directly and is not
-    // shard-aware (net/network.h): pin shards = 1 regardless of
-    // --shards / ICPDA_SHARDS.
-    net::NetworkConfig net_cfg = bench::paper_network(kNodes, ctx.seed);
-    net_cfg.shards = 1;
-    net::Network network(net_cfg);
+    // shard-aware (net/network.h): one engine whatever --shards says.
+    net::Network network(bench::paper_network(kNodes, ctx.seed));
 
     service::ServiceConfig cfg;
     cfg.offered_load_qps = ctx.point.get("load_qps");

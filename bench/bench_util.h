@@ -1,16 +1,20 @@
 // Shared plumbing for the experiment-reproduction binaries.
 //
-// Each bench_* executable regenerates one table/figure of the paper
-// (see DESIGN.md section 3): it sweeps the paper's parameter axis,
-// runs Monte-Carlo trials of full protocol epochs, and prints the
-// rows. Absolute numbers depend on the substrate; the shapes are what
-// EXPERIMENTS.md compares against the paper.
+// Each bench_* executable (bench_micro aside) regenerates one
+// table/figure of the paper (see DESIGN.md section 3) as a
+// runner::Campaign: it declares the paper's parameter axis, a
+// Monte-Carlo cell (usually one full protocol epoch) and a row
+// formatter, and hands them to runner::bench_main, which gives every
+// bench the shared CLI (--threads/--shards/--trials/--points/--out,
+// runner/cli.h) and JSONL rows. Absolute numbers depend on the
+// substrate; the shapes are what EXPERIMENTS.md compares against the
+// paper.
 //
 // ICPDA_TRIALS scales the Monte-Carlo effort (default keeps the whole
 // bench suite in the low minutes on a laptop).
 #pragma once
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,6 +23,8 @@
 #include "crypto/keyring.h"
 #include "net/network.h"
 #include "proto/epoch.h"
+#include "runner/campaign.h"
+#include "runner/cli.h"
 #include "sim/rng.h"
 
 namespace icpda::bench {
@@ -51,38 +57,25 @@ enum class Experiment : std::uint64_t {
   kService = 20,            // S1: continuous-query service under load
 };
 
-/// Monte-Carlo trials per configuration point.
+/// A malformed environment variable is a hard error, not a silent
+/// fall-back to the default: a typo'd value would quietly change the
+/// experiment.
+[[noreturn]] inline void bad_env(const char* name, const char* value,
+                                 const char* expected) {
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected, value);
+  std::exit(2);
+}
+
+/// Monte-Carlo trials per configuration point, from ICPDA_TRIALS.
+/// Capped so the benches' scaled counts (F5 draws 40x) fit an int.
 inline int trials() {
-  if (const char* env = std::getenv("ICPDA_TRIALS")) {
-    const int t = std::atoi(env);
-    if (t > 0) return t;
+  const char* env = std::getenv("ICPDA_TRIALS");
+  if (!env) return 5;
+  unsigned long long t = 0;
+  if (!runner::parse_uint(env, t) || t == 0 || t > (1u << 20)) {
+    bad_env("ICPDA_TRIALS", env, "a positive integer up to 1048576");
   }
-  return 5;
-}
-
-/// Spatial shards per simulated Network (net/shard_engine.h), from
-/// ICPDA_SHARDS (also set by the runner's --shards flag). Rows are
-/// byte-identical at every value — tests/shard_determinism_test.cc.
-/// Garbage is a hard error, not a silent fall-back to 1: a typo'd
-/// shard count would quietly produce single-engine scaling numbers.
-inline std::size_t shards() {
-  const char* env = std::getenv("ICPDA_SHARDS");
-  if (!env) return 1;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long s = std::strtoull(env, &end, 10);
-  if (*env < '0' || *env > '9' || errno != 0 || *end != '\0' || s == 0) {
-    std::fprintf(stderr,
-                 "ICPDA_SHARDS: expected a positive integer, got '%s'\n", env);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(s);
-}
-
-/// The paper-family network sizes (400 m x 400 m field, 50 m range).
-inline const std::vector<std::size_t>& paper_sizes() {
-  static const std::vector<std::size_t> sizes{200, 300, 400, 500, 600};
-  return sizes;
+  return static_cast<int>(t);
 }
 
 /// The sweep's network-size axis, overridable via ICPDA_N_AXIS — a
@@ -96,26 +89,40 @@ inline std::vector<double> size_axis(std::vector<double> defaults) {
   const char* env = std::getenv("ICPDA_N_AXIS");
   if (!env || !*env) return defaults;
   std::vector<double> sizes;
-  const char* p = env;
-  while (*p) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p || v == 0) {
-      std::fprintf(stderr, "ICPDA_N_AXIS: bad size list '%s'\n", env);
-      std::exit(2);
+  const std::string list = env;
+  for (std::size_t pos = 0; pos <= list.size();) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    unsigned long long v = 0;
+    if (!runner::parse_uint(list.substr(pos, comma - pos), v) || v == 0) {
+      bad_env("ICPDA_N_AXIS", env, "a comma-separated list of positive sizes");
     }
     sizes.push_back(static_cast<double>(v));
-    p = (*end == ',') ? end + 1 : end;
+    pos = comma + 1;
   }
   return sizes;
 }
 
+/// A paper-family deployment (400 m x 400 m field, 50 m range) on one
+/// engine, for runs outside a campaign cell.
 inline net::NetworkConfig paper_network(std::size_t n, std::uint64_t seed) {
   net::NetworkConfig cfg;
   cfg.node_count = n;
   cfg.seed = seed;
-  cfg.shards = shards();
   return cfg;
+}
+
+/// The deployment a campaign cell simulates: split into the cell's
+/// --shards spatial shards (rows are byte-identical at every value —
+/// tests/shard_determinism_test.cc), seeded by the cell's own stream
+/// unless the table pairs its cells on another one.
+inline net::NetworkConfig paper_network(const runner::CellContext& ctx, std::size_t n,
+                                        std::uint64_t seed) {
+  net::NetworkConfig cfg = paper_network(n, seed);
+  cfg.shards = ctx.shards;
+  return cfg;
+}
+inline net::NetworkConfig paper_network(const runner::CellContext& ctx, std::size_t n) {
+  return paper_network(ctx, n, ctx.seed);
 }
 
 inline crypto::MasterPairwiseScheme default_keys() {
@@ -132,12 +139,6 @@ inline crypto::MasterPairwiseScheme default_keys() {
 inline std::uint64_t run_seed(Experiment experiment, std::uint64_t point,
                               std::uint64_t trial) {
   return sim::seed_mix(static_cast<std::uint64_t>(experiment), point, trial);
-}
-
-inline void print_header(const char* title, const char* columns) {
-  std::printf("# %s\n", title);
-  std::printf("# trials per point: %d\n", trials());
-  std::printf("%s\n", columns);
 }
 
 }  // namespace icpda::bench

@@ -1,6 +1,7 @@
 #include "runner/campaign.h"
 
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <future>
 #include <vector>
@@ -13,13 +14,13 @@ namespace icpda::runner {
 
 namespace {
 
-void run_cell(const Campaign& campaign, const Point& point, int trial,
-              sim::MetricRegistry& metrics, bool trace) {
+void run_cell(const Campaign& campaign, const RunnerOptions& options,
+              const Point& point, int trial, sim::MetricRegistry& metrics) {
   CellContext ctx{point, trial,
                   sim::seed_mix(campaign.experiment,
                                 static_cast<std::uint64_t>(point.index()),
                                 static_cast<std::uint64_t>(trial)),
-                  metrics, trace};
+                  metrics, options.trace, options.shards};
   campaign.cell(ctx);
 }
 
@@ -48,7 +49,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     return 1;
   }
 
-  sink.comment(campaign.name);
+  sink.table(campaign.name);
   sink.comment("trials per point: " + std::to_string(trials));
 
   // Surface the active shard partitions next to the progress/ETA line:
@@ -75,8 +76,9 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
       for (const std::size_t p : selected) {
         const Point point = campaign.sweep.point(p);
         PointSummary summary;
+        summary.trace = options.trace;
         for (int t = 0; t < trials; ++t, ++slot) {
-          run_cell(campaign, point, t, results[slot], options.trace);
+          run_cell(campaign, options, point, t, results[slot]);
           progress.tick();
           summary.metrics.merge(results[slot]);
           ++summary.trials;
@@ -95,7 +97,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
           futures.push_back(pool.submit([&campaign, &progress, &results, &options, p,
                                          t, slot] {
             const Point point = campaign.sweep.point(p);
-            run_cell(campaign, point, t, results[slot], options.trace);
+            run_cell(campaign, options, point, t, results[slot]);
             progress.tick();
           }));
         }
@@ -106,6 +108,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
       for (const std::size_t p : selected) {
         const Point point = campaign.sweep.point(p);
         PointSummary summary;
+        summary.trace = options.trace;
         for (int t = 0; t < trials; ++t, ++slot) {
           futures[slot].get();
           summary.metrics.merge(results[slot]);
@@ -125,18 +128,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   return 0;
 }
 
-int run_campaign(const Campaign& campaign, const RunnerOptions& options) {
-  try {
-    JsonlSink sink = options.out.empty() ? JsonlSink::to_stream(stdout)
-                                         : JsonlSink::to_file(options.out);
-    return run_campaign(campaign, options, sink);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "campaign '%s' failed: %s\n", campaign.name.c_str(), e.what());
-    return 1;
-  }
-}
-
-int bench_main(const Campaign& campaign, int argc, char** argv) {
+int bench_main(std::span<const Campaign> campaigns, int argc, char** argv) {
   RunnerOptions options;
   std::string error;
   if (!parse_cli(argc, argv, options, error)) {
@@ -148,7 +140,39 @@ int bench_main(const Campaign& campaign, int argc, char** argv) {
     print_usage(argv[0]);
     return 0;
   }
-  return run_campaign(campaign, options);
+  std::size_t rows = 0;
+  for (const Campaign& campaign : campaigns) rows += campaign.sweep.point_count();
+  if (!options.points.empty() && options.points.back() >= rows) {
+    std::fprintf(stderr, "%s: --points index %zu out of range (%zu rows)\n", argv[0],
+                 options.points.back(), rows);
+    return 1;
+  }
+  try {
+    JsonlSink sink = options.out.empty() ? JsonlSink::to_stream(stdout)
+                                         : JsonlSink::to_file(options.out);
+    const char* slash = std::strrchr(argv[0], '/');
+    std::size_t first = 0;  // flat index of this campaign's point 0
+    for (Campaign campaign : campaigns) {
+      if (campaign.label.empty()) campaign.label = slash ? slash + 1 : argv[0];
+      const std::size_t grid = campaign.sweep.point_count();
+      RunnerOptions own = options;
+      own.points.clear();
+      for (const std::size_t p : options.points) {
+        if (p >= first && p < first + grid) own.points.push_back(p - first);
+      }
+      first += grid;
+      if (own.points.empty() && !options.points.empty()) continue;  // none selected here
+      if (const int rc = run_campaign(campaign, own, sink); rc != 0) return rc;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
+  return 0;
+}
+
+int bench_main(const Campaign& campaign, int argc, char** argv) {
+  return bench_main(std::span<const Campaign>(&campaign, 1), argc, argv);
 }
 
 }  // namespace icpda::runner

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "runner/cli.h"
@@ -44,18 +45,23 @@ struct CellContext {
   /// tracer and fold per-phase results into `metrics`. Tracing must
   /// stay observational — base metrics identical either way.
   bool trace = false;
+  /// --shards: spatial shards per simulated Network (bench::paper_network
+  /// builds its config from this). Rows are byte-identical at every value.
+  std::size_t shards = 1;
 };
 
 /// Per-point reduction result handed to the row formatter.
 struct PointSummary {
   sim::MetricRegistry metrics;  ///< cell registries merged in trial order
   int trials = 0;               ///< cells reduced into `metrics`
+  bool trace = false;           ///< --trace was given (CellContext::trace)
 };
 
 struct Campaign {
   /// Header title, echoed as the leading `# ...` comment line.
   std::string name;
-  /// Short progress-reporter label; falls back to `name` when empty.
+  /// Short progress-reporter label; when empty, bench_main uses the
+  /// binary's file name and run_campaign falls back to `name`.
   std::string label;
   /// Experiment id (bench::Experiment) mixed into every cell seed.
   std::uint64_t experiment = 0;
@@ -69,17 +75,19 @@ struct Campaign {
   std::function<void(const Point&, const PointSummary&, JsonRow&)> row;
 };
 
-/// Execute `campaign` under `options`, writing rows to `sink`.
-/// Returns a process exit code (0 on success; 1 on a failed cell or an
-/// invalid option/declaration, with the reason on stderr).
+/// Execute `campaign` under `options`, writing rows to `sink` as a new
+/// table (its own header and row schema). Returns a process exit code
+/// (0 on success; 1 on a failed cell or an invalid option/declaration,
+/// with the reason on stderr).
 int run_campaign(const Campaign& campaign, const RunnerOptions& options,
                  JsonlSink& sink);
 
-/// As above, with the sink built from options (--out file or stdout).
-int run_campaign(const Campaign& campaign, const RunnerOptions& options);
-
-/// Complete main() body for a single-campaign bench binary: parse the
-/// shared CLI (--help included), then run.
+/// Complete main() body for a bench binary: parse the shared CLI
+/// (--help included), then run the campaigns in order into one sink
+/// (--out file or stdout). --points indexes the binary's rows in output
+/// order: the second campaign's point 0 is flat index
+/// `campaigns[0].sweep.point_count()`, and so on.
+int bench_main(std::span<const Campaign> campaigns, int argc, char** argv);
 int bench_main(const Campaign& campaign, int argc, char** argv);
 
 }  // namespace icpda::runner

@@ -1,6 +1,7 @@
 #include "runner/cli.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,10 +10,6 @@
 
 namespace icpda::runner {
 
-namespace {
-
-/// Strict non-negative integer parse; rejects sign prefixes, leading
-/// whitespace and trailing garbage (strtoull accepts all three).
 bool parse_uint(const std::string& s, unsigned long long& out) {
   if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   char* end = nullptr;
@@ -20,6 +17,8 @@ bool parse_uint(const std::string& s, unsigned long long& out) {
   out = std::strtoull(s.c_str(), &end, 10);
   return errno == 0 && end == s.c_str() + s.size();
 }
+
+namespace {
 
 /// Split "--flag=value" / "--flag value" style arguments. Returns true
 /// if argv[i] names `flag`, with `value` filled (consuming argv[i+1]
@@ -75,15 +74,18 @@ bool parse_point_spec(const std::string& spec, std::vector<std::size_t>& out) {
 }
 
 bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error) {
+  // Reject garbage in the environment loudly: a typo'd count silently
+  // replaced by a default would invalidate every number downstream.
   if (const char* env = std::getenv("ICPDA_THREADS")) {
     unsigned long long t = 0;
-    if (parse_uint(env, t)) {
-      options.threads = t == 0 ? ThreadPool::default_threads() : static_cast<unsigned>(t);
+    if (!parse_uint(env, t)) {
+      error = std::string("ICPDA_THREADS: expected a non-negative integer, got '") +
+              env + "'";
+      return false;
     }
+    options.threads = t == 0 ? ThreadPool::default_threads() : static_cast<unsigned>(t);
   }
   if (const char* env = std::getenv("ICPDA_SHARDS")) {
-    // Reject garbage loudly: a typo'd shard count silently running the
-    // single engine would invalidate every scaling number downstream.
     unsigned long long s = 0;
     if (!parse_uint(env, s) || s == 0) {
       error = std::string("ICPDA_SHARDS: expected a positive integer, got '") +
@@ -124,10 +126,6 @@ bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error
         return false;
       }
       options.shards = static_cast<std::size_t>(s);
-      // Campaign cells construct their own NetworkConfig deep inside
-      // each bench binary; the env var is the one channel they all
-      // already read (bench::shards), so the flag is exported to it.
-      setenv("ICPDA_SHARDS", value.c_str(), /*overwrite=*/1);
       continue;
     }
     if (take_value_flag(argc, argv, i, "--trials", value, error)) {

@@ -29,11 +29,9 @@ namespace icpda::runner {
 struct RunnerOptions {
   unsigned threads = 1;
   /// Spatial shards per simulated Network (see net/shard_engine.h);
-  /// default from ICPDA_SHARDS, else 1. parse_cli() also exports the
-  /// flag back to ICPDA_SHARDS so campaign cells constructing their
-  /// own NetworkConfig (via bench::paper_network) pick it up. Rows are
-  /// byte-identical at every shard count — that is what
-  /// tests/shard_determinism_test.cc pins.
+  /// default from ICPDA_SHARDS, else 1. Reaches cells as
+  /// CellContext::shards. Rows are byte-identical at every shard count
+  /// — that is what tests/shard_determinism_test.cc pins.
   std::size_t shards = 1;
   int trials = 0;                    // 0 = use the campaign's default
   std::vector<std::size_t> points;   // empty = whole grid
@@ -43,11 +41,16 @@ struct RunnerOptions {
   bool help = false;
 };
 
-/// Parse argv into `options`. Returns false and fills `error` on a
-/// malformed flag; `options.help` is set (and true returned) for
-/// --help. Unknown flags are errors — a typo'd axis restriction must
-/// not silently run the full grid.
+/// Parse argv (and ICPDA_THREADS / ICPDA_SHARDS) into `options`.
+/// Returns false and fills `error` on a malformed flag or variable;
+/// `options.help` is set (and true returned) for --help. Unknown flags
+/// are errors — a typo'd axis restriction must not silently run the
+/// full grid.
 bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error);
+
+/// Strict non-negative decimal integer: rejects a sign, leading
+/// whitespace and trailing characters (strtoull accepts all three).
+bool parse_uint(const std::string& s, unsigned long long& out);
 
 /// Usage text for --help / parse errors (writes to stderr).
 void print_usage(const char* argv0);

@@ -132,4 +132,10 @@ void JsonlSink::comment(std::string_view text) {
   write_line("# " + std::string(text));
 }
 
+void JsonlSink::table(std::string_view title) {
+  const std::lock_guard lock(mutex_);
+  schema_.clear();
+  write_line("# " + std::string(title));
+}
+
 }  // namespace icpda::runner

@@ -3,10 +3,10 @@
 // JsonRow renders one object with insertion-ordered keys and explicit
 // numeric formatting (fixed decimal places, like the printf rows the
 // benches used to emit), so a row is byte-reproducible across runs and
-// thread counts. JsonlSink enforces a stable schema — every row must
-// carry the first row's keys in the first row's order — and writes
-// each line with a single fwrite, so concurrently-written sinks can
-// never interleave half-lines.
+// thread counts. JsonlSink enforces a stable schema per table — every
+// row must carry its table's first-row keys in the same order — and
+// writes each line with a single fwrite, so concurrently-written sinks
+// can never interleave half-lines.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +72,10 @@ class JsonlSink {
   /// Write a `# ...` header/comment line (the bench header convention;
   /// strictly speaking an extension of JSONL).
   void comment(std::string_view text);
+
+  /// Start a new table: write its `# title` line and drop the schema,
+  /// so the table's first row sets the keys its later rows must carry.
+  void table(std::string_view title);
 
   [[nodiscard]] std::size_t rows_written() const { return rows_; }
 

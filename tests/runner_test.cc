@@ -1,12 +1,16 @@
 // The campaign runner: sweep grids, JSONL schema/escaping, the thread
-// pool, CLI parsing, and — the load-bearing property — byte-identical
-// campaign output at every thread count.
+// pool, CLI parsing, multi-table bench_main, and — the load-bearing
+// property — byte-identical campaign output at every thread count.
 #include "runner/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -331,6 +335,102 @@ TEST(CampaignTest, OutOfRangePointIndexIsRejected) {
   std::string out;
   JsonlSink sink = JsonlSink::to_buffer(&out);
   EXPECT_EQ(run_campaign(c, options, sink), 1);
+}
+
+TEST(CampaignTest, ShardsAndTraceReachCellsAndRows) {
+  unsetenv("ICPDA_SHARDS");
+  const RunnerOptions options = parse_or_die({"--shards=4", "--trace"});
+  // The shard count travels in CellContext, not through the process
+  // environment.
+  EXPECT_EQ(std::getenv("ICPDA_SHARDS"), nullptr);
+
+  Campaign c = test_campaign();
+  c.cell = [](CellContext& ctx) {
+    ctx.metrics.observe("shards", static_cast<double>(ctx.shards));
+    if (ctx.trace) ctx.metrics.add("traced");
+  };
+  c.row = [](const Point&, const PointSummary& s, JsonRow& row) {
+    row.num("shards", s.metrics.stat("shards").mean(), 0)
+        .num("traced", s.metrics.counter("traced"))
+        .boolean("trace", s.trace);
+  };
+  const std::string out = run_to_string(c, options);
+  EXPECT_NE(out.find("{\"shards\": 4, \"traced\": 6, \"trace\": true}\n"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("\"shards\": 1"), std::string::npos) << out;
+}
+
+// ---- bench_main over several tables -----------------------------------
+
+/// Two tables with different row schemas: x in {1,2,3}, then y in {10,20}.
+std::array<Campaign, 2> two_tables() {
+  std::array<Campaign, 2> tables;
+  tables[0].name = "table A";
+  tables[0].experiment = 1;
+  tables[0].sweep.axis("x", {1, 2, 3});
+  tables[1].name = "table B";
+  tables[1].experiment = 2;
+  tables[1].sweep.axis("y", {10, 20});
+  for (Campaign& c : tables) {
+    c.trials = 2;
+    c.cell = [](CellContext& ctx) { ctx.metrics.add("cells"); };
+  }
+  tables[0].row = [](const Point& p, const PointSummary& s, JsonRow& row) {
+    row.num("x", p.get("x"), 0).num("cells", s.metrics.counter("cells"));
+  };
+  tables[1].row = [](const Point& p, const PointSummary&, JsonRow& row) {
+    row.str("y", p.label("y"));
+  };
+  return tables;
+}
+
+/// Run bench_main with `args` writing to a temp --out file; returns
+/// the exit code and fills `out` with the file's contents.
+int bench_main_to_string(std::span<const Campaign> tables, std::vector<std::string> args,
+                         std::string& out) {
+  const std::string path = testing::TempDir() + "runner_test_tables.jsonl";
+  std::remove(path.c_str());
+  args.insert(args.begin(), {"bench_x", "--no-progress", "--out=" + path});
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const int rc = bench_main(tables, static_cast<int>(argv.size()), argv.data());
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  out = text.str();
+  return rc;
+}
+
+TEST(BenchMainTest, TablesShareOneOutFileWithTheirOwnSchemas) {
+  const auto tables = two_tables();
+  std::string out;
+  ASSERT_EQ(bench_main_to_string(tables, {"--threads=2"}, out), 0);
+  EXPECT_EQ(out,
+            "# table A\n# trials per point: 2\n"
+            "{\"x\": 1, \"cells\": 2}\n{\"x\": 2, \"cells\": 2}\n{\"x\": 3, \"cells\": 2}\n"
+            "# table B\n# trials per point: 2\n"
+            "{\"y\": \"10\"}\n{\"y\": \"20\"}\n");
+
+  // Each table still holds its rows to its own first row's schema.
+  auto broken = two_tables();
+  broken[1].row = [](const Point& p, const PointSummary&, JsonRow& row) {
+    row.num(p.index() == 0 ? "y" : "z", p.get("y"), 0);
+  };
+  EXPECT_EQ(bench_main_to_string(broken, {}, out), 1);
+}
+
+TEST(BenchMainTest, PointsIndexTheConcatenatedTables) {
+  const auto tables = two_tables();
+  std::string out;
+  // Flat indices 0-2 are table A's points, 3-4 table B's.
+  ASSERT_EQ(bench_main_to_string(tables, {"--points=2,3"}, out), 0);
+  EXPECT_EQ(out,
+            "# table A\n# trials per point: 2\n{\"x\": 3, \"cells\": 2}\n"
+            "# table B\n# trials per point: 2\n{\"y\": \"10\"}\n");
+  // A table with no selected point is skipped, header included.
+  ASSERT_EQ(bench_main_to_string(tables, {"--points=4"}, out), 0);
+  EXPECT_EQ(out, "# table B\n# trials per point: 2\n{\"y\": \"20\"}\n");
+  EXPECT_EQ(bench_main_to_string(tables, {"--points=5"}, out), 1);
 }
 
 // ---- Seeds -----------------------------------------------------------
