@@ -55,7 +55,8 @@ void Wiretap::observe(net::NodeId sender, const net::Frame& frame) {
   if (!link_readable(a, b)) return;
   const auto key = keys_.link_key(a, b);
   if (!key) return;
-  if (crypto::open(*key, sealed)) ++stats_.shares_opened;
+  crypto::Bytes plain;
+  if (crypto::open_into(*key, sealed, plain)) ++stats_.shares_opened;
 }
 
 double Wiretap::effective_px(const net::Topology& topo) const {

@@ -141,7 +141,7 @@ void SmartApp::send_slices(net::Node& node) {
     msg.query_id = config_.query_id;
     msg.sender = node.id();
     msg.recipient = target;
-    msg.sealed = crypto::seal(*key, node.rng()(), body.to_bytes());
+    crypto::seal_into(*key, node.rng()(), body.to_bytes(), msg.sealed);
     node.send(target, proto::kSmartSlice, msg.to_bytes());
     node.metrics().add("smart.slice_sent");
   }
@@ -156,12 +156,12 @@ void SmartApp::handle_slice(net::Node& node, const net::Frame& frame) {
   }
   const auto key = keys_->link_key(msg->sender, node.id());
   if (!key) return;
-  const auto opened = crypto::open(*key, msg->sealed);
-  if (!opened) {
+  crypto::Bytes opened;
+  if (!crypto::open_into(*key, msg->sealed, opened)) {
     node.metrics().add("smart.bad_slice_auth");
     return;
   }
-  const auto body = SliceBody::from_bytes(*opened);
+  const auto body = SliceBody::from_bytes(opened);
   if (!body || body->query_id != config_.query_id) return;
   pending_.merge(body->slice);
   node.metrics().add("smart.slice_received");

@@ -117,8 +117,6 @@ struct IcpdaConfig {
   /// with its own reconstruction (floating-point slack only; losses
   /// are handled by claim matching, not by this threshold).
   double witness_tolerance = 1e-6;
-  /// Alarm when the head omits an input the witness saw arrive.
-  bool alarm_on_omission = true;
   /// Inputs overheard within this window before the head's report are
   /// exempt from omission alarms: the head builds the report payload at
   /// its slot but the frame airs only after MAC queueing/backoff (up to
@@ -132,32 +130,28 @@ struct IcpdaConfig {
   /// forward the payload verbatim (relays) or to claim the reporter in
   /// its own aggregate (heads) within this window; otherwise it alarms.
   double watchdog_timeout_s = 1.0;
-  bool watchdog_enabled = true;
 
   /// Base-station acceptance threshold on |alarm.expected - observed|;
   /// alarms with deviation below Th are ignored (loss tolerance).
   double th = 0.5;
 
   // -- Fault tolerance (crash/outage degradation) ---------------------
-  /// Phase II recovery: if the solve deadline passes with F values
-  /// missing or inconsistent, the head re-fixes the roster to the
-  /// members whose F arrived (proved alive) and reruns the share
-  /// exchange once at the reduced degree, instead of failing the
-  /// cluster outright.
-  bool phase2_recovery = true;
+  // A head whose solve deadline passes with F values missing or
+  // inconsistent re-fixes the roster to the members whose F arrived and
+  // reruns the share exchange once at the reduced degree (Phase II
+  // recovery); the member digest deadline covers that second round.
   /// Grace past the (recovery-extended) solve deadline before a member
   /// that never received a digest writes its cluster off and marks
   /// itself unclustered instead of witnessing for a dead head.
   double digest_grace_s = 0.4;
   [[nodiscard]] double digest_deadline_s(std::size_t m) const {
-    return solve_at_s(m) * (phase2_recovery ? 2.0 : 1.0) + digest_grace_s;
+    return solve_at_s(m) * 2.0 + digest_grace_s;
   }
   /// Phase III failover: a reporter whose parent exhausts MAC retries
   /// (or stays watchdog-silent) adopts a backup parent — the best
   /// strictly-shallower neighbour heard during the flood — and
-  /// re-dispatches after a short backoff.
-  bool reroute_enabled = true;
-  /// Parent switches allowed per node per epoch.
+  /// re-dispatches after a short backoff, at most this many parent
+  /// switches per node per epoch.
   std::uint32_t reroute_attempts = 2;
   /// Base backoff before re-dispatching through the new parent.
   double reroute_backoff_s = 0.15;
@@ -165,9 +159,8 @@ struct IcpdaConfig {
   /// the endorsed cluster sum (under the head's reporter id, so the BS
   /// dedupes) when the head dies between digest and report. The backup
   /// first probes the head with a unicast; only a probe the MAC gives
-  /// up on (no ACK from the head) triggers the takeover.
-  bool backup_reporter = true;
-  /// Probe this long before the last report slot (covers a full MAC
+  /// up on (no ACK from the head) triggers the takeover. The probe goes
+  /// this long before the last report slot (covers a full MAC
   /// retry ladder so the verdict is in by the backup's slot).
   double backup_probe_lead_s = 0.9;
   /// The backup's own slot sits this far past the last regular slot.
@@ -210,12 +203,10 @@ struct IcpdaConfig {
 };
 
 /// Data-pollution attack plan: `polluters` tamper with the aggregate
-/// they forward in Phase III by adding `delta` to the sum component
-/// (and proportionally to count if `pollute_count`).
+/// they forward in Phase III by adding `delta` to the sum component.
 struct AttackPlan {
   std::unordered_set<net::NodeId> polluters;
   double delta = 0.0;
-  bool pollute_count = false;
   /// Attackers maximise their aggregation role: a polluter always
   /// self-elects as cluster head instead of drawing pc (a compromised
   /// node is not bound by the honest protocol's coin flips).

@@ -70,14 +70,6 @@ void make_shares_into(const proto::Aggregate& value, const std::vector<double>& 
   }
 }
 
-std::vector<proto::Aggregate> make_shares(const proto::Aggregate& value,
-                                          const std::vector<double>& seeds,
-                                          sim::Rng& rng, double coeff_scale) {
-  std::vector<proto::Aggregate> shares;
-  make_shares_into(value, seeds, rng, shares, coeff_scale);
-  return shares;
-}
-
 std::vector<double> lagrange_weights_at_zero(const std::vector<double>& seeds) {
   if (!seeds_valid(seeds)) return {};
   const std::size_t m = seeds.size();

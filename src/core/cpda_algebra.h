@@ -33,21 +33,15 @@ namespace icpda::core {
 /// (m stays single-digit in practice: E[m] = 1/pc).
 [[nodiscard]] std::vector<double> default_seeds(std::size_t m);
 
-/// Evaluations p(x_j) of the sharing polynomial for one private triple.
-/// Element j of the result is the share destined for the member with
-/// seed seeds[j]. `coeff_scale` bounds the uniform random coefficients;
-/// privacy only needs them unpredictable, magnitude is a conditioning
-/// choice.
-[[nodiscard]] std::vector<proto::Aggregate> make_shares(
-    const proto::Aggregate& value, const std::vector<double>& seeds,
-    sim::Rng& rng, double coeff_scale = 1000.0);
-
-/// Arena variant of make_shares(): fills `shares` in place (capacity is
-/// reused across calls, so a warm vector cuts a round of shares with
-/// zero heap allocations; blinding coefficients live on the stack for
-/// m <= 32). Draws the same Rng sequence and performs the same float
-/// ops as make_shares(), so the produced shares are bit-identical —
-/// pinned differentially by CryptoBatchTest.
+/// Evaluations p(x_j) of the sharing polynomial for one private triple,
+/// written into `shares`: element j is the share destined for the
+/// member with seed seeds[j]. `coeff_scale` bounds the uniform random
+/// coefficients; privacy only needs them unpredictable, magnitude is a
+/// conditioning choice. `shares` is resized and overwritten, its
+/// capacity reused, so a warm vector cuts a round of shares with zero
+/// heap allocations (blinding coefficients live on the stack for
+/// m <= 32); its previous contents never reach the result — pinned by
+/// CryptoBatchTest against a fresh vector.
 void make_shares_into(const proto::Aggregate& value, const std::vector<double>& seeds,
                       sim::Rng& rng, std::vector<proto::Aggregate>& shares,
                       double coeff_scale = 1000.0);

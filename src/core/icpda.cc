@@ -54,11 +54,7 @@ void IcpdaApp::start(net::Node& node) {
 }
 
 void IcpdaApp::on_receive(net::Node& node, const net::Frame& frame) {
-  // replay_gate's first test is `epoch_tag == 0`; hoisting it here
-  // keeps the un-hardened configuration (the common one) from paying a
-  // non-inlined call per dispatched frame.
-  if (config_.hardening.epoch_tag != 0 && replay_gate(node, frame)) return;
-  if (adv_) maybe_capture(node, frame);
+  if (!admit(node, frame)) return;
   switch (frame.type) {
     case proto::kHello:
       handle_hello(node, frame);
@@ -93,8 +89,7 @@ void IcpdaApp::on_receive(net::Node& node, const net::Frame& frame) {
 }
 
 void IcpdaApp::on_overhear(net::Node& node, const net::Frame& frame) {
-  if (config_.hardening.epoch_tag != 0 && replay_gate(node, frame)) return;
-  if (adv_) maybe_capture(node, frame);
+  if (!admit(node, frame)) return;
   switch (frame.type) {
     case proto::kClusterReport:
       overhear_report(node, frame);
@@ -386,19 +381,7 @@ void IcpdaApp::close_roster(net::Node& node) {
   node.metrics().observe("icpda.cluster_size", static_cast<double>(m));
 
   if (m == 1) {
-    // Lone head: no share algebra possible.
-    switch (config_.small_cluster_policy) {
-      case SmallClusterPolicy::kClearReport:
-        clear_report_ = true;
-        cluster_value_ = Aggregate::of(readings_(node.id()));
-        if (outcome_) ++outcome_->degraded_privacy;
-        node.metrics().add("icpda.lone_head_clear");
-        break;
-      case SmallClusterPolicy::kDrop:
-        node.metrics().add("icpda.lone_head_dropped");
-        if (outcome_) ++outcome_->clusters_failed;
-        break;
-    }
+    settle_lone_head(node, /*recovery=*/false);
     return;
   }
 
@@ -415,7 +398,38 @@ void IcpdaApp::close_roster(net::Node& node) {
   for (std::size_t i = 0; i < m; ++i) seeds[i] = static_cast<std::uint32_t>(i + 1);
   rng(node).shuffle(seeds);
   roster.seeds = seeds;
+  broadcast_roster(node, roster);
+  node.metrics().add("icpda.roster_sent");
 
+  // The head is a member of its own cluster: install the roster and
+  // run Phase II alongside everyone else.
+  if (cluster_.set_roster(node.id(), roster.members, roster.seeds, node.id())) {
+    if (attacking(AttackClass::kDisclosure, node)) observe_roster(node);
+    node.tracer().switch_phase(node.id(), sim::TracePhase::kShareExchange,
+                               node.now(), span_tag());
+    monitor_.set_target(node.id());
+    schedule_round(node);
+  }
+}
+
+void IcpdaApp::settle_lone_head(net::Node& node, bool recovery) {
+  // No share algebra is possible for a cluster of one.
+  switch (config_.small_cluster_policy) {
+    case SmallClusterPolicy::kClearReport:
+      clear_report_ = true;
+      cluster_value_ = Aggregate::of(readings_(node.id()));
+      if (outcome_) ++outcome_->degraded_privacy;
+      node.metrics().add(recovery ? "icpda.recovery_lone_clear" : "icpda.lone_head_clear");
+      break;
+    case SmallClusterPolicy::kDrop:
+      if (outcome_) ++outcome_->clusters_failed;
+      node.metrics().add(recovery ? "icpda.recovery_lone_dropped"
+                                  : "icpda.lone_head_dropped");
+      break;
+  }
+}
+
+void IcpdaApp::broadcast_roster(net::Node& node, const ClusterRosterMsg& roster) {
   // The roster broadcast has no ARQ: repeat it (members act on the
   // first copy; the MAC's sequence numbers make repeats distinct).
   for (std::uint32_t rep = 0; rep < std::max<std::uint32_t>(1, config_.roster_repeats);
@@ -426,23 +440,30 @@ void IcpdaApp::close_roster(net::Node& node) {
       node.broadcast(proto::kClusterRoster, std::move(payload));
     });
   }
-  node.metrics().add("icpda.roster_sent");
+}
 
-  // The head is a member of its own cluster: install the roster and
-  // run Phase II alongside everyone else.
-  if (cluster_.set_roster(node.id(), roster.members, roster.seeds, node.id())) {
-    if (attacking(AttackClass::kDisclosure, node)) observe_roster(node);
-    node.tracer().switch_phase(node.id(), sim::TracePhase::kShareExchange,
-                               node.now(), span_tag());
-    monitor_.set_target(node.id());
-    const std::size_t cluster_m = cluster_.size();
-    const auto jitter =
-        sim::seconds(rng(node).uniform(0.0, config_.share_window_s(cluster_m)));
-    node.schedule(jitter, [this, &node] { send_shares(node); });
-    node.schedule(sim::seconds(config_.assemble_at_s(cluster_m)),
-                  [this, &node] { announce_f(node); });
-    node.schedule(sim::seconds(config_.solve_at_s(cluster_m)),
+void IcpdaApp::schedule_round(net::Node& node) {
+  // Deadlines scale with the roster size m: the round's ~m^2 share
+  // frames all cross the head's radio.
+  const std::size_t m = cluster_.size();
+  const bool head = role_ == ClusterRole::kHead;
+  const auto jitter = sim::seconds(rng(node).uniform(0.0, config_.share_window_s(m)));
+  node.schedule(jitter, [this, &node] { send_shares(node); });
+  // Members spread their F unicasts; the head records its own F in
+  // place, so it draws no jitter.
+  double announce_at = config_.assemble_at_s(m);
+  if (!head) announce_at += rng(node).uniform(0.0, config_.f_jitter_s);
+  node.schedule(sim::seconds(announce_at), [this, &node] { announce_f(node); });
+  if (head) {
+    node.schedule(sim::seconds(config_.solve_at_s(m)),
                   [this, &node] { solve_and_digest(node); });
+  } else if (phase2_round_ == 0) {
+    // If the head dies before a digest reaches us, stop waiting: a
+    // member with no endorsed cluster sum by this deadline has no
+    // value in flight and no head to witness for. The deadline already
+    // covers a recovery round, so a recovery roster arms no second one.
+    node.schedule(sim::seconds(config_.digest_deadline_s(m)),
+                  [this, &node] { digest_deadline(node); });
   }
 }
 
@@ -511,19 +532,7 @@ void IcpdaApp::handle_roster(net::Node& node, const net::Frame& frame) {
 
   // Shares that raced ahead of our roster copy are valid now.
   replay_early_shares();
-
-  const std::size_t cluster_m = cluster_.size();
-  const auto jitter =
-      sim::seconds(rng(node).uniform(0.0, config_.share_window_s(cluster_m)));
-  node.schedule(jitter, [this, &node] { send_shares(node); });
-  const auto announce_at = sim::seconds(
-      config_.assemble_at_s(cluster_m) + rng(node).uniform(0.0, config_.f_jitter_s));
-  node.schedule(announce_at, [this, &node] { announce_f(node); });
-  // If the head dies before a digest reaches us, stop waiting: a
-  // member with no endorsed cluster sum by this deadline has no value
-  // in flight and no head to witness for.
-  node.schedule(sim::seconds(config_.digest_deadline_s(cluster_m)),
-                [this, &node] { digest_deadline(node); });
+  schedule_round(node);
 }
 
 void IcpdaApp::replay_early_shares() {
@@ -544,6 +553,10 @@ void IcpdaApp::digest_deadline(net::Node& node) {
   // witness; tree forwarding duties continue regardless of role.
   node.metrics().add("icpda.digest_missed");
   node.tracer().switch_phase(node.id(), sim::TracePhase::kReport, node.now(), span_tag());
+  stand_down();
+}
+
+void IcpdaApp::stand_down() {
   role_ = ClusterRole::kUnclustered;
   if (outcome_) {
     ++outcome_->unclustered;
@@ -562,11 +575,7 @@ void IcpdaApp::handle_recovery_roster(net::Node& node, const ClusterRosterMsg& r
     // The head never saw our F: it presumes us dead and our value is
     // out of this epoch's sum. Stand down as a witness.
     node.metrics().add("icpda.recovery_excluded");
-    role_ = ClusterRole::kUnclustered;
-    if (outcome_) {
-      ++outcome_->unclustered;
-      if (outcome_->members > 0) --outcome_->members;
-    }
+    stand_down();
     return;
   }
   // In-place arena reset: set_roster validates fully before mutating,
@@ -582,15 +591,8 @@ void IcpdaApp::handle_recovery_roster(net::Node& node, const ClusterRosterMsg& r
   replay_early_shares();
   node.metrics().add("icpda.recovery_roster");
   node.tracer().switch_phase(node.id(), sim::TracePhase::kRecovery, node.now(), span_tag());
-
   // Rerun the exchange at the reduced degree on the recovery clock.
-  const std::size_t cluster_m = cluster_.size();
-  const auto jitter =
-      sim::seconds(rng(node).uniform(0.0, config_.share_window_s(cluster_m)));
-  node.schedule(jitter, [this, &node] { send_shares(node); });
-  const auto announce_at = sim::seconds(
-      config_.assemble_at_s(cluster_m) + rng(node).uniform(0.0, config_.f_jitter_s));
-  node.schedule(announce_at, [this, &node] { announce_f(node); });
+  schedule_round(node);
 }
 
 // ---------------------------------------------------------------------
@@ -718,16 +720,7 @@ void IcpdaApp::announce_f(net::Node& node) {
   if (!cluster_.has_roster() || f_sent_) return;
   f_sent_ = true;
   my_f_ = cluster_.assemble(my_f_contributors_);
-
-  FAnnounceMsg msg;
-  msg.query_id = config_.query_id;
-  msg.member = node.id();
-  msg.head = cluster_.head();
-  msg.round = phase2_round_;
-  msg.f = my_f_;
-  msg.contributors = my_f_contributors_;
-  msg.epoch_tag = config_.hardening.epoch_tag;
-
+  const FAnnounceMsg msg = f_announce(node);
   if (role_ == ClusterRole::kHead) {
     // The head's own F goes straight into its context.
     cluster_.record_announce(node.id(), my_f_, my_f_contributors_);
@@ -743,6 +736,18 @@ void IcpdaApp::announce_f(net::Node& node) {
     node.send(cluster_.head(), proto::kFAnnounce, msg.to_bytes());
     node.metrics().add("icpda.f_sent");
   }
+}
+
+FAnnounceMsg IcpdaApp::f_announce(const net::Node& node) const {
+  FAnnounceMsg msg;
+  msg.query_id = config_.query_id;
+  msg.member = node.id();
+  msg.head = cluster_.head();
+  msg.round = phase2_round_;
+  msg.f = my_f_;
+  msg.contributors = my_f_contributors_;
+  msg.epoch_tag = config_.hardening.epoch_tag;
+  return msg;
 }
 
 void IcpdaApp::handle_f_announce(net::Node& node, const net::Frame& frame) {
@@ -771,7 +776,7 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
   if (!cluster_.complete() || !cluster_.consistent()) {
     node.metrics().add(cluster_.complete() ? "icpda.cluster_inconsistent"
                                            : "icpda.cluster_incomplete");
-    if (config_.phase2_recovery && !recovery_started_) {
+    if (!recovery_started_) {
       // A member crashed (or its frames all died) mid-exchange. The
       // degree-(m-1) interpolation cannot run with a missing F, so
       // re-fix the roster to the members that proved alive and rerun
@@ -879,18 +884,7 @@ void IcpdaApp::start_phase2_recovery(net::Node& node) {
   if (m <= 1) {
     // Nobody else proved alive: collapse to the lone-head policy so at
     // least our own reading survives the epoch.
-    switch (config_.small_cluster_policy) {
-      case SmallClusterPolicy::kClearReport:
-        clear_report_ = true;
-        cluster_value_ = Aggregate::of(readings_(node.id()));
-        if (outcome_) ++outcome_->degraded_privacy;
-        node.metrics().add("icpda.recovery_lone_clear");
-        break;
-      case SmallClusterPolicy::kDrop:
-        if (outcome_) ++outcome_->clusters_failed;
-        node.metrics().add("icpda.recovery_lone_dropped");
-        break;
-    }
+    settle_lone_head(node, /*recovery=*/true);
     return;
   }
 
@@ -900,15 +894,7 @@ void IcpdaApp::start_phase2_recovery(net::Node& node) {
     outcome_->degraded_privacy += static_cast<std::uint32_t>(m);
     node.metrics().add("icpda.recovery_small_cluster");
   }
-
-  for (std::uint32_t rep = 0; rep < std::max<std::uint32_t>(1, config_.roster_repeats);
-       ++rep) {
-    const auto at = sim::seconds(static_cast<double>(rep) * 0.04 +
-                                 rng(node).uniform(0.0, 0.02));
-    node.schedule(at, [&node, payload = roster.to_bytes()]() mutable {
-      node.broadcast(proto::kClusterRoster, std::move(payload));
-    });
-  }
+  broadcast_roster(node, roster);
 
   phase2_round_ = 1;
   // In-place arena reset; cannot fail here (the head is survivors[0]
@@ -916,14 +902,7 @@ void IcpdaApp::start_phase2_recovery(net::Node& node) {
   cluster_.set_roster(node.id(), roster.members, roster.seeds, node.id());
   f_sent_ = false;
   my_f_contributors_.clear();
-
-  const auto jitter =
-      sim::seconds(rng(node).uniform(0.0, config_.share_window_s(m)));
-  node.schedule(jitter, [this, &node] { send_shares(node); });
-  node.schedule(sim::seconds(config_.assemble_at_s(m)),
-                [this, &node] { announce_f(node); });
-  node.schedule(sim::seconds(config_.solve_at_s(m)),
-                [this, &node] { solve_and_digest(node); });
+  schedule_round(node);
 }
 
 void IcpdaApp::handle_digest(net::Node& node, const net::Frame& frame) {
@@ -981,7 +960,7 @@ void IcpdaApp::handle_digest(net::Node& node, const net::Frame& frame) {
 
   // Head failover: the first member after the head in roster order is
   // the designated backup reporter for the endorsed cluster sum.
-  if (config_.backup_reporter && f_sent_ && cluster_.size() >= 2 &&
+  if (f_sent_ && cluster_.size() >= 2 &&
       cluster_.members()[1] == node.id()) {
     arm_backup_reporter(node);
   }
@@ -1003,15 +982,7 @@ void IcpdaApp::arm_backup_reporter(net::Node& node) {
   node.schedule(probe_at > now ? probe_at - now : sim::SimTime{}, [this, &node] {
     if (head_report_seen_ || role_ != ClusterRole::kMember || !f_sent_) return;
     probe_sent_ = true;
-    FAnnounceMsg msg;
-    msg.query_id = config_.query_id;
-    msg.member = node.id();
-    msg.head = cluster_.head();
-    msg.round = phase2_round_;
-    msg.f = my_f_;
-    msg.contributors = my_f_contributors_;
-    msg.epoch_tag = config_.hardening.epoch_tag;
-    node.send(cluster_.head(), proto::kFAnnounce, msg.to_bytes());
+    node.send(cluster_.head(), proto::kFAnnounce, f_announce(node).to_bytes());
     node.metrics().add("icpda.backup_probe");
   });
   node.schedule(report_at > now ? report_at - now : sim::SimTime{},
@@ -1033,7 +1004,7 @@ void IcpdaApp::backup_report(net::Node& node) {
   node.metrics().add("icpda.backup_report");
   node.tracer().counter(node.id(), sim::TraceCounter::kBackupReport,
                         cluster_.head(), node.now());
-  if (joined_) dispatch_up(node, report, report.to_bytes());
+  if (joined_) dispatch_up(node, report.reporter, report.to_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -1057,37 +1028,25 @@ void IcpdaApp::handle_report(net::Node& node, const net::Frame& frame) {
         return it.id == report->reporter;
       });
 
-  if (node.is_base_station()) {
-    if (already_merged) {
-      node.metrics().add("icpda.report_duplicate");
-      return;
-    }
-    pending_.merge(report->aggregate);
-    items_.push_back(proto::ReportItem{report->reporter, report->aggregate});
-    if (outcome_) outcome_->last_report_at = node.now();
-    node.metrics().add("icpda.report_at_bs");
-    return;
-  }
-
-  // Only cluster heads aggregate (their members witness-audit them);
-  // everyone else forwards verbatim so the watchdog check is exact.
-  if (role_ == ClusterRole::kHead && !reported_) {
-    if (already_merged) {
-      node.metrics().add("icpda.report_duplicate");
-      return;
-    }
-    pending_.merge(report->aggregate);
-    items_.push_back(proto::ReportItem{report->reporter, report->aggregate});
-    node.metrics().add("icpda.report_merged");
-    return;
-  }
-  if (role_ == ClusterRole::kHead && already_merged) {
-    // A re-hand for something we already claimed in our (sent) report:
-    // re-emit verbatim so the child's watchdog can see the hand-off.
+  // Only the base station and cluster heads that have not reported yet
+  // aggregate (heads are witness-audited by their members); everyone
+  // else forwards verbatim so the watchdog check is exact. That
+  // includes a head's re-hand of something it already claimed in its
+  // sent report: re-emitting it lets the child's watchdog see the
+  // hand-off.
+  const bool bs = node.is_base_station();
+  if (!bs && (role_ != ClusterRole::kHead || reported_)) {
     forward_verbatim(node, frame);
     return;
   }
-  forward_verbatim(node, frame);
+  if (already_merged) {
+    node.metrics().add("icpda.report_duplicate");
+    return;
+  }
+  pending_.merge(report->aggregate);
+  items_.push_back(proto::ReportItem{report->reporter, report->aggregate});
+  if (bs && outcome_) outcome_->last_report_at = node.now();
+  node.metrics().add(bs ? "icpda.report_at_bs" : "icpda.report_merged");
 }
 
 void IcpdaApp::forward_verbatim(net::Node& node, const net::Frame& frame) {
@@ -1099,7 +1058,6 @@ void IcpdaApp::forward_verbatim(net::Node& node, const net::Frame& frame) {
   if (attack_ && attack_->is_polluter(node.id())) {
     // A compromised relay tampers with the values it is asked to carry.
     report->aggregate.sum += attack_->delta;
-    if (attack_->pollute_count) report->aggregate.count += attack_->delta;
     payload = report->to_bytes();
     node.metrics().add("icpda.pollution_injected");
     if (outcome_) ++outcome_->pollution_events;
@@ -1117,17 +1075,17 @@ void IcpdaApp::forward_verbatim(net::Node& node, const net::Frame& frame) {
       return;
     }
   }
-  dispatch_up(node, *report, payload);
+  dispatch_up(node, report->reporter, payload);
   node.metrics().add("icpda.report_forwarded");
 }
 
-void IcpdaApp::dispatch_up(net::Node& node, const ReportMsg& report,
-                           const net::Bytes& payload) {
+void IcpdaApp::dispatch_up(net::Node& node, net::NodeId reporter,
+                           const net::Bytes& payload, std::uint32_t attempt) {
   node.send(parent_, proto::kClusterReport, payload);
   if (parent_ != 0) {
-    // Track the hand-off even with the watchdog disabled: the record
-    // also drives the app-level retransmission in on_send_failed.
-    expect_forward(node, report.reporter, payload, /*attempt=*/1);
+    // The record arms the watchdog and also drives the app-level
+    // retransmission in on_send_failed.
+    expect_forward(node, reporter, payload, attempt);
   }
 }
 
@@ -1167,10 +1125,6 @@ void IcpdaApp::send_report(net::Node& node) {
     auto& victim = report.items.back();
     victim.value.sum += attack_->delta;
     report.aggregate.sum += attack_->delta;
-    if (attack_->pollute_count) {
-      victim.value.count += attack_->delta;
-      report.aggregate.count += attack_->delta;
-    }
     node.metrics().add("icpda.pollution_injected");
     if (outcome_) ++outcome_->pollution_events;
   }
@@ -1180,16 +1134,15 @@ void IcpdaApp::send_report(net::Node& node) {
     node.metrics().add("icpda.report_skipped");
     return;
   }
-  dispatch_up(node, report, report.to_bytes());
+  dispatch_up(node, report.reporter, report.to_bytes());
   node.metrics().add("icpda.report_sent");
   if (outcome_) ++outcome_->reporters;
 }
 
 void IcpdaApp::expect_forward(net::Node& node, net::NodeId reporter,
                               net::Bytes payload, std::uint32_t attempt) {
-  watchdog_.push_back(Expectation{reporter, std::move(payload),
-                                  !config_.watchdog_enabled, false, attempt});
-  if (!config_.watchdog_enabled) return;  // record kept for retries only
+  watchdog_.push_back(Expectation{
+      .reporter = reporter, .payload = std::move(payload), .send_attempts = attempt});
   const std::size_t idx = watchdog_.size() - 1;
   // The parent may legitimately hold the data until its own report
   // slot (it aggregates if it is a head): the deadline must cover that
@@ -1260,61 +1213,55 @@ void IcpdaApp::on_send_failed(net::Node& node, const net::Frame& frame) {
   }
   if (frame.type != proto::kClusterReport) return;
   node.metrics().add("icpda.report_send_failed");
+  // Our own unicast never reached its destination, so no watchdog
+  // alarm is warranted for it: retire the live expectation armed for
+  // this send.
+  Expectation* exp = nullptr;
+  for (auto& e : watchdog_) {
+    if (e.payload == frame.payload && !e.failure_handled) {
+      e.failure_handled = true;
+      e.satisfied = true;
+      exp = &e;
+      break;
+    }
+  }
   if (frame.dst != parent_) {
     // Stale destination: this frame was purged from (or drained its
     // ladder against) a parent we have already failed over from. The
     // verdict on that parent is in — just resend through the current
-    // one, and retire the expectation armed for the old send.
-    for (auto& exp : watchdog_) {
-      if (exp.payload == frame.payload && !exp.failure_handled) {
-        exp.failure_handled = true;
-        exp.satisfied = true;
-        break;
-      }
-    }
+    // one.
     redispatch(node, frame.payload);
     return;
   }
-  for (auto& exp : watchdog_) {
-    // Find the live expectation for this payload. Our own unicast
-    // never reached the parent, so no alarm is warranted — cancel it
-    // and retry once after the congestion that killed the MAC's
-    // retries has had time to clear.
-    if (exp.payload != frame.payload || exp.failure_handled) continue;
-    exp.failure_handled = true;
-    exp.satisfied = true;
-    const std::uint32_t attempt = exp.send_attempts + 1;
-    // A full retry ladder with zero ACKs from a parent we have never
-    // overheard transmit a report is a death verdict — reroute now,
-    // while the close deadline can still be met, instead of burning
-    // another ladder into a black hole. An active parent gets the
-    // benefit of the doubt (congestion) and one same-parent retry.
-    if (attempt > 2 || parent_reports_overheard_ == 0) {
-      if (reroute_to_backup(node)) {
-        redispatch(node, exp.payload);
-        return;
-      }
-      if (attempt > 2) {
-        node.metrics().add("icpda.report_lost");
-        return;
-      }
-      // No backup available: give the same parent its retry after all.
+  if (exp == nullptr) return;
+  const std::uint32_t attempt = exp->send_attempts + 1;
+  // A full retry ladder with zero ACKs from a parent we have never
+  // overheard transmit a report is a death verdict — reroute now,
+  // while the close deadline can still be met, instead of burning
+  // another ladder into a black hole. An active parent gets the
+  // benefit of the doubt (congestion) and one same-parent retry, once
+  // the congestion that killed the MAC's retries has had time to clear.
+  if (attempt > 2 || parent_reports_overheard_ == 0) {
+    if (reroute_to_backup(node)) {
+      redispatch(node, exp->payload);
+      return;
     }
-    node.schedule(
-        sim::seconds(0.1 + rng(node).uniform(0.0, 0.1)),
-        [this, &node, reporter = exp.reporter, payload = exp.payload, attempt] {
-          node.send(parent_, proto::kClusterReport, payload);
-          if (parent_ != 0) expect_forward(node, reporter, payload, attempt);
-          node.metrics().add("icpda.report_retried");
-        });
-    return;
+    if (attempt > 2) {
+      node.metrics().add("icpda.report_lost");
+      return;
+    }
+    // No backup available: give the same parent its retry after all.
   }
+  node.schedule(
+      sim::seconds(0.1 + rng(node).uniform(0.0, 0.1)),
+      [this, &node, reporter = exp->reporter, payload = exp->payload, attempt] {
+        dispatch_up(node, reporter, payload, attempt);
+        node.metrics().add("icpda.report_retried");
+      });
 }
 
 bool IcpdaApp::reroute_to_backup(net::Node& node) {
-  if (!config_.reroute_enabled || reroutes_used_ >= config_.reroute_attempts) {
-    return false;
-  }
+  if (reroutes_used_ >= config_.reroute_attempts) return false;
   failed_parents_.insert(parent_);
   // Best surviving candidate: smallest advertised hop (every candidate
   // was strictly shallower than us at flood time, so parent chains
@@ -1355,7 +1302,7 @@ void IcpdaApp::redispatch(net::Node& node, const net::Bytes& payload) {
   node.schedule(backoff, [this, &node, payload] {
     const auto report = ReportMsg::from_bytes(payload);
     if (!report) return;
-    dispatch_up(node, *report, payload);
+    dispatch_up(node, report->reporter, payload);
     node.metrics().add("icpda.report_rerouted");
   });
 }
@@ -1474,8 +1421,8 @@ void IcpdaApp::raise_alarm(net::Node& node, net::NodeId accused,
 
 void IcpdaApp::handle_alarm(net::Node& node, const net::Frame& frame) {
   // An alarm flood re-delivers one (witness, accused) pair roughly
-  // `degree` times per node, and both branches below dedupe on that
-  // pair before touching any state. AlarmMsg::from_bytes is
+  // `degree` times per node, and the dedupe below drops repeats before
+  // touching any state. AlarmMsg::from_bytes is
   // side-effect-free, so peek the fixed-offset header (query_id @0,
   // kind @4, witness @5, accused @9) and drop copies that cannot
   // change state before paying for the full decode.
@@ -1489,27 +1436,22 @@ void IcpdaApp::handle_alarm(net::Node& node, const net::Frame& frame) {
   }
   const auto alarm = AlarmMsg::from_bytes(frame.payload);
   if (!alarm || alarm->query_id != config_.query_id) return;
+  if (!alarms_forwarded_.insert({alarm->witness, alarm->accused})) return;
 
-  if (node.is_base_station()) {
-    // The flood delivers many copies of one alarm: dedupe here too.
-    const auto key = std::make_pair(alarm->witness, alarm->accused);
-    if (!alarms_forwarded_.insert(key)) return;
-    if (outcome_) {
-      outcome_->alarms.push_back(*alarm);
-      if (alarm->kind == AlarmMsg::kDropSuspect) {
-        ++outcome_->drop_suspicions;
-      } else if (exceeds(alarm->expected_sum - alarm->observed_sum, config_.th)) {
-        ++outcome_->significant_alarms;
-      }
-    }
-    node.metrics().add("icpda.alarm_at_bs");
+  if (!node.is_base_station()) {
+    // Flood: rebroadcast each distinct (witness, accused) once.
+    node.broadcast(proto::kAlarm, frame.payload);
     return;
   }
-  // Flood: rebroadcast each distinct (witness, accused) once.
-  const auto key = std::make_pair(alarm->witness, alarm->accused);
-  if (alarms_forwarded_.insert(key)) {
-    node.broadcast(proto::kAlarm, frame.payload);
+  if (outcome_) {
+    outcome_->alarms.push_back(*alarm);
+    if (alarm->kind == AlarmMsg::kDropSuspect) {
+      ++outcome_->drop_suspicions;
+    } else if (exceeds(alarm->expected_sum - alarm->observed_sum, config_.th)) {
+      ++outcome_->significant_alarms;
+    }
   }
+  node.metrics().add("icpda.alarm_at_bs");
 }
 
 void IcpdaApp::close_epoch(net::Node& node) {
@@ -1525,7 +1467,6 @@ void IcpdaApp::close_epoch(net::Node& node) {
 // Active-adversary interception helpers
 
 bool IcpdaApp::replay_gate(net::Node& node, const net::Frame& frame) {
-  if (config_.hardening.epoch_tag == 0) return false;
   if (!proto::epoch_tag_gated(frame.type)) return false;
   if (!proto::epoch_tag_stale(frame.payload, config_.hardening.epoch_tag)) {
     return false;

@@ -118,7 +118,6 @@ class IcpdaApp final : public net::App {
         adv_(adv),
         rng_override_(rng_override),
         monitor_(WitnessMonitor::Config{config.witness_tolerance,
-                                        config.alarm_on_omission,
                                         config.omission_guard_s}) {}
 
   void start(net::Node& node) override;
@@ -132,7 +131,6 @@ class IcpdaApp final : public net::App {
   [[nodiscard]] std::optional<proto::Aggregate> cluster_value() const {
     return cluster_value_;
   }
-  [[nodiscard]] net::NodeId tree_parent() const { return parent_; }
   [[nodiscard]] std::uint16_t hop() const { return hop_; }
   [[nodiscard]] bool joined_tree() const { return joined_; }
 
@@ -147,11 +145,20 @@ class IcpdaApp final : public net::App {
   void retry_or_give_up(net::Node& node);
   void become_head(net::Node& node);
   void close_roster(net::Node& node);
+  void broadcast_roster(net::Node& node, const proto::ClusterRosterMsg& roster);
+  /// A cluster shrunk to its head alone (at roster time, or when a
+  /// recovery round finds no other survivor): apply the small-cluster
+  /// policy to the head's own reading.
+  void settle_lone_head(net::Node& node, bool recovery);
 
   // Phase II.
+  /// Arm the current round's timers (shares, F, then the head's solve
+  /// or a round-0 member's digest deadline) once its roster is set.
+  void schedule_round(net::Node& node);
   void handle_share(net::Node& node, const net::Frame& frame);
   void send_shares(net::Node& node);
   void announce_f(net::Node& node);
+  [[nodiscard]] proto::FAnnounceMsg f_announce(const net::Node& node) const;
   void handle_f_announce(net::Node& node, const net::Frame& frame);
   void solve_and_digest(net::Node& node);
   void handle_digest(net::Node& node, const net::Frame& frame);
@@ -162,13 +169,17 @@ class IcpdaApp final : public net::App {
   void handle_recovery_roster(net::Node& node, const proto::ClusterRosterMsg& roster);
   void replay_early_shares();
   void digest_deadline(net::Node& node);
+  /// A member whose value is in no cluster sum stops witnessing.
+  void stand_down();
 
   // Phase III.
   void handle_report(net::Node& node, const net::Frame& frame);
   void send_report(net::Node& node);
   void forward_verbatim(net::Node& node, const net::Frame& frame);
-  void dispatch_up(net::Node& node, const proto::ReportMsg& report,
-                   const net::Bytes& payload);
+  /// Hand a report to the tree parent and record the hand-off (the
+  /// watchdog's expectation, `attempt` counting app-level resends).
+  void dispatch_up(net::Node& node, net::NodeId reporter, const net::Bytes& payload,
+                   std::uint32_t attempt = 1);
   void overhear_report(net::Node& node, const net::Frame& frame);
   void raise_alarm(net::Node& node, net::NodeId accused,
                    proto::AlarmMsg::Kind kind, double expected, double observed);
@@ -198,7 +209,16 @@ class IcpdaApp final : public net::App {
   [[nodiscard]] bool attacking(AttackClass c, const net::Node& node) const {
     return compromised(node) && adversary_->attack == c;
   }
-  /// True iff the freshness gate drops this frame (stale epoch tag).
+  /// Prologue of both delivery paths: the freshness gate, then replay
+  /// capture. False drops the frame before any handler runs. The tag
+  /// test comes first so an unhardened run pays one compare per frame.
+  bool admit(net::Node& node, const net::Frame& frame) {
+    if (config_.hardening.epoch_tag != 0 && replay_gate(node, frame)) return false;
+    if (adv_ != nullptr) maybe_capture(node, frame);
+    return true;
+  }
+  /// The freshness gate (hardened runs only): true iff it drops this
+  /// frame for a stale epoch tag.
   bool replay_gate(net::Node& node, const net::Frame& frame);
   /// kReplay: squirrel away interesting Phase II/III frames.
   void maybe_capture(net::Node& node, const net::Frame& frame);

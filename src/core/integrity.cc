@@ -74,22 +74,20 @@ WitnessMonitor::Verdict WitnessMonitor::audit(const proto::ReportMsg& outgoing,
     }
   }
 
-  if (config_.alarm_on_omission) {
-    // Omitted cluster sum: we solved one, the head pretends it has none.
-    if (!cluster_claimed) {
+  // Omitted cluster sum: we solved one, the head pretends it has none.
+  if (!cluster_claimed) {
+    v.kind = Verdict::Kind::kOmission;
+    v.expected_sum = outgoing.aggregate.sum + cluster_sum_.sum;
+    return v;
+  }
+  // Omitted child: we clearly saw it arrive (before the guard window),
+  // the head does not claim it.
+  const sim::SimTime guard = sim::seconds(config_.omission_guard_s);
+  for (const auto& [child, input] : inputs_) {
+    if (!outgoing.claims(child) && input.heard_at + guard < now) {
       v.kind = Verdict::Kind::kOmission;
-      v.expected_sum = outgoing.aggregate.sum + cluster_sum_.sum;
+      v.expected_sum = outgoing.aggregate.sum + input.aggregate.sum;
       return v;
-    }
-    // Omitted child: we clearly saw it arrive (before the guard
-    // window), the head does not claim it.
-    const sim::SimTime guard = sim::seconds(config_.omission_guard_s);
-    for (const auto& [child, input] : inputs_) {
-      if (!outgoing.claims(child) && input.heard_at + guard < now) {
-        v.kind = Verdict::Kind::kOmission;
-        v.expected_sum = outgoing.aggregate.sum + input.aggregate.sum;
-        return v;
-      }
     }
   }
 

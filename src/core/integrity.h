@@ -14,7 +14,7 @@
 //  * the head's own item against the cluster sum the witness solved;
 //  * every child item the witness personally overheard;
 //  * omissions: the head hides its cluster sum, or hides a child input
-//    the witness saw arrive before the guard window (when enabled).
+//    the witness saw arrive before the guard window.
 // Items the witness did not overhear are skipped — a better-placed
 // witness may still check them; the verdict records how many were
 // unverified (kClean = all seen, kPartialClean = no lie found in the
@@ -40,7 +40,6 @@ class WitnessMonitor {
  public:
   struct Config {
     double tolerance = 1e-6;
-    bool alarm_on_omission = true;
     /// Inputs overheard within this window before the head's report
     /// are exempt from omission alarms (the head may legitimately have
     /// closed aggregation already).

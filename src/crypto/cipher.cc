@@ -81,12 +81,6 @@ void seal_into(const Key& key, std::uint64_t nonce,
   put_u64(out, tag);
 }
 
-Bytes seal(const Key& key, std::uint64_t nonce, const Bytes& plaintext) {
-  Bytes out;
-  seal_into(key, nonce, plaintext, out);
-  return out;
-}
-
 bool open_into(const Key& key, std::span<const std::uint8_t> sealed, Bytes& plain) {
   plain.clear();
   if (sealed.size() < kSealOverheadBytes) return false;
@@ -99,12 +93,6 @@ bool open_into(const Key& key, std::span<const std::uint8_t> sealed, Bytes& plai
                sealed.begin() + 8 + static_cast<std::ptrdiff_t>(ct_len));
   keystream_xor(key, nonce, std::span{plain});
   return true;
-}
-
-std::optional<Bytes> open(const Key& key, const Bytes& sealed) {
-  Bytes plain;
-  if (!open_into(key, sealed, plain)) return std::nullopt;
-  return plain;
 }
 
 }  // namespace icpda::crypto

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,31 +18,23 @@ namespace icpda::crypto {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// Ciphertext expansion of seal(): nonce + tag.
+/// Ciphertext expansion of seal_into(): nonce + tag.
 inline constexpr std::size_t kSealOverheadBytes = 16;
 
 /// Encrypt-and-authenticate `plaintext` under `key` with a caller-
 /// supplied unique `nonce` (per-key uniqueness is the caller's job; the
-/// protocol layers use their per-node Rng).
-[[nodiscard]] Bytes seal(const Key& key, std::uint64_t nonce, const Bytes& plaintext);
-
-/// Verify-and-decrypt. Returns nullopt on tag mismatch (wrong key or
-/// corrupted message) or malformed input.
-[[nodiscard]] std::optional<Bytes> open(const Key& key, const Bytes& sealed);
-
-/// Arena variant of seal(): writes the sealed message into `out`
-/// (cleared and refilled; capacity is reused across calls, so a warm
-/// buffer seals with zero heap allocations). The produced bytes are
-/// identical to seal() for every (key, nonce, plaintext) — pinned
-/// differentially by CryptoBatchTest. This is the one-context-per-
-/// cluster-round entry point: the protocol keeps one buffer per round
-/// and seals every member's share through it.
+/// protocol layers use their per-node Rng), writing the sealed message
+/// into `out`. `out` is cleared and refilled and its capacity reused,
+/// so a warm buffer seals with zero heap allocations: the protocol
+/// keeps one buffer per cluster round and seals every member's share
+/// through it. Whatever `out` held before never reaches the result —
+/// pinned by CryptoBatchTest against a fresh buffer.
 void seal_into(const Key& key, std::uint64_t nonce,
                std::span<const std::uint8_t> plaintext, Bytes& out);
 
-/// Arena variant of open(): verifies and decrypts into `plain` (cleared
-/// and refilled, capacity reused). Returns false — leaving `plain`
-/// empty — exactly when open() would return nullopt.
+/// Verify-and-decrypt into `plain` (cleared and refilled, capacity
+/// reused). Returns false — leaving `plain` empty — on tag mismatch
+/// (wrong key or corrupted message) or malformed input.
 [[nodiscard]] bool open_into(const Key& key, std::span<const std::uint8_t> sealed,
                              Bytes& plain);
 

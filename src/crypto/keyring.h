@@ -69,12 +69,6 @@ class EgPredistribution final : public KeyScheme {
   [[nodiscard]] static double connect_probability(std::size_t pool_size,
                                                   std::size_t ring_size);
 
-  /// Closed-form probability that a third random ring contains one
-  /// specific key id: k / P.
-  [[nodiscard]] double third_party_read_probability() const {
-    return static_cast<double>(ring_size_) / static_cast<double>(pool_size_);
-  }
-
  private:
   std::size_t pool_size_;
   std::size_t ring_size_;

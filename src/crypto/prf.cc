@@ -107,20 +107,11 @@ std::uint64_t prf64(const Key& key, std::span<const std::uint8_t> data) {
   return prf.squeeze64();
 }
 
-Key derive_key(const Key& master, std::uint64_t label_a, std::uint64_t label_b) {
-  Prf prf(master);
-  prf.absorb_u64(label_a);
-  prf.absorb_u64(label_b);
-  Key k;
-  k.words[0] = prf.squeeze64();
-  k.words[1] = prf.squeeze64();
-  return k;
-}
-
 KeyDeriver::KeyDeriver(const Key& master) { key_state(master, init_state_); }
 
 Key KeyDeriver::derive(std::uint64_t label_a, std::uint64_t label_b) const {
-  // Replays derive_key step for step from the cached post-init state:
+  // Replays a Prf(master) that absorbs both labels and squeezes twice,
+  // step for step from the cached post-init state:
   // two u64 absorptions (absorbed_len_ stays 0 — absorb_u64 does not
   // count bytes), the squeeze transition, then two squeezed words with
   // one permutation between them.

@@ -60,18 +60,14 @@ class Prf {
 /// One-shot convenience: PRF(key, data) -> 64-bit value.
 [[nodiscard]] std::uint64_t prf64(const Key& key, std::span<const std::uint8_t> data);
 
-/// One-shot keyed derivation: PRF(key, label, index) -> new Key.
-/// Used for per-link key derivation from a master key.
-[[nodiscard]] Key derive_key(const Key& master, std::uint64_t label_a,
-                             std::uint64_t label_b);
-
-/// Batched key derivation under one master: the keyed sponge state
+/// Keyed derivation PRF(master, label_a, label_b) -> new Key, the
+/// per-link key derivation from a master key. The keyed sponge state
 /// after the initial permutation depends only on the master key, so a
 /// deriver caches it once and each derive() replays just the two label
-/// absorptions and the squeeze. Output is byte-identical to
-/// derive_key(master, a, b) for every (a, b) — pinned differentially by
-/// CryptoBatchTest. Used to derive a whole cluster's pairwise keys in
-/// one pass per round.
+/// absorptions and the squeeze: a whole cluster's pairwise keys cost
+/// one pass per round. Output equals a plain Prf absorbing both labels
+/// and squeezing two words — pinned against that reference by
+/// CryptoBatchTest.
 class KeyDeriver {
  public:
   explicit KeyDeriver(const Key& master);

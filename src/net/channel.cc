@@ -74,6 +74,11 @@ bool Channel::keyed_loss(NodeId sender, NodeId receiver, const Frame& frame,
 
 void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_done) {
   ShardCtx& ctx = ctx_of(sender);
+  if (ctx.delivering) {
+    // The pass is reading one of this shard's in-flight slots, which a
+    // pool growth below would move.
+    throw std::logic_error("Channel::transmit: called from inside a delivery pass");
+  }
   const sim::SimTime now = ctx.sched->now();
   const sim::SimTime dur = airtime(frame);
   const sim::SimTime end = now + dur;
@@ -140,38 +145,27 @@ void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_don
   // arrival instant, and per-receiver status is resolved at fire time
   // because a *later* transmission can still corrupt the frame. The
   // frame copy the receivers will read lives in a recycled pool slot
-  // on the sink path (no allocation once pools warm up) and in a
-  // shared_ptr on the hook path (hooks may keep the channel busy in
-  // ways the pool's no-transmit-during-deliver invariant forbids).
+  // (no allocation once pools warm up).
   if (!receivers.empty()) {
-    if (sink_macs_ != nullptr) {
-      std::uint32_t slot;
-      if (!ctx.free_inflight.empty()) {
-        slot = ctx.free_inflight.back();
-        ctx.free_inflight.pop_back();
-      } else {
-        slot = static_cast<std::uint32_t>(ctx.inflight.size());
-        ctx.inflight.emplace_back();
-      }
-      ctx.inflight[slot] = frame;  // payload buffer capacity is reused
-      ShardCtx* cp = &ctx;         // ctxs_ never reallocates after wiring
-      ctx.sched->at(
-          arrive,
-          [this, sender, tx_id, slot, cp] {
-            deliver(sender, tx_id, cp->inflight[slot], *cp);
-            cp->free_inflight.push_back(slot);
-          },
-          sender, border);
+    std::uint32_t slot;
+    if (!ctx.free_inflight.empty()) {
+      slot = ctx.free_inflight.back();
+      ctx.free_inflight.pop_back();
     } else {
-      auto shared = std::make_shared<const Frame>(frame);
-      ShardCtx* cp = &ctx;
-      ctx.sched->at(
-          arrive,
-          [this, sender, tx_id, shared, cp] {
-            deliver(sender, tx_id, *shared, *cp);
-          },
-          sender, border);
+      slot = static_cast<std::uint32_t>(ctx.inflight.size());
+      ctx.inflight.emplace_back();
     }
+    ctx.inflight[slot] = frame;  // payload buffer capacity is reused
+    ShardCtx* cp = &ctx;         // ctxs_ never reallocates after wiring
+    ctx.sched->at(
+        arrive,
+        [this, sender, tx_id, slot, cp] {
+          cp->delivering = true;
+          deliver(sender, tx_id, cp->inflight[slot], *cp);
+          cp->delivering = false;
+          cp->free_inflight.push_back(slot);
+        },
+        sender, border);
   }
 
   // Notify the sender's MAC when the air is clear again. With no

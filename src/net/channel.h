@@ -19,9 +19,8 @@
 // per-shard schedulers and still produce bit-identical results.
 //
 // Fan-out is copy-free (DESIGN.md §5f, §5i): transmit() keeps one
-// copy of the frame per transmission — a recycled pool slot under the
-// production MAC sink, a shared immutable allocation under delivery
-// hooks — and every receiver sees that same Frame by reference.
+// copy of the frame per transmission in a recycled pool slot, and
+// every receiver sees that same Frame by reference.
 // Per-receiver state is a 24-byte slot in a reusable per-node pool,
 // and all of a transmission's deliveries run from a single scheduler
 // event (they share the arrival instant, so consolidation is
@@ -41,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/packet.h"
@@ -77,8 +75,9 @@ class Channel {
  public:
   /// receiver, frame, status. Called once per in-range node per frame
   /// at reception-complete time (ok or not, so MACs can count noise).
-  /// The Frame reference is to the transmission's shared copy: valid
-  /// for the duration of the callback only.
+  /// The Frame reference is to the transmission's pooled copy: valid
+  /// for the duration of the callback only, and the callback must not
+  /// transmit (see transmit()).
   using DeliveryFn =
       std::function<void(NodeId receiver, const Frame& frame, ReceptionStatus)>;
 
@@ -121,14 +120,18 @@ class Channel {
   [[nodiscard]] bool transmitting(NodeId node) const;
 
   /// Start transmitting `frame` from `sender` now (the channel takes a
-  /// copy; under the direct-sink wiring it lands in a slot whose
-  /// payload buffer is recycled across transmissions, so steady state
-  /// allocates nothing). The MAC must have done its carrier-sense
-  /// dance already; the channel will happily create a collision if
-  /// told to transmit into a busy medium. `on_tx_done` fires at
-  /// end-of-frame at the sender; pass nullptr (ACKs, test rigs) and no
-  /// end-of-frame event is scheduled at all — carrier state lives in
-  /// tx_until_, so the event exists only to run the callback.
+  /// copy into a slot whose payload buffer is recycled across
+  /// transmissions, so steady state allocates nothing). The MAC must
+  /// have done its carrier-sense dance already; the channel will
+  /// happily create a collision if told to transmit into a busy
+  /// medium. `on_tx_done` fires at end-of-frame at the sender; pass
+  /// nullptr (ACKs, test rigs) and no end-of-frame event is scheduled
+  /// at all — carrier state lives in tx_until_, so the event exists
+  /// only to run the callback. Throws std::logic_error when called
+  /// from inside a delivery pass of the sender's shard (a delivery
+  /// hook or reception upcall transmitting synchronously): that pass
+  /// is reading a pool slot the new copy could move. Every MAC send
+  /// goes through a scheduled backoff/SIFS event instead.
   void transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_done);
 
   /// Installing a delivery hook clears any direct MAC sink: the hook
@@ -204,14 +207,13 @@ class Channel {
   struct ShardCtx {
     sim::Scheduler* sched = nullptr;
     sim::MetricRegistry* metrics = nullptr;
-    /// In-flight frame pool for the sink path: one slot per
-    /// transmission from start-of-frame until its delivery pass
-    /// finishes, recycled with payload capacity retained. Safe because
-    /// under the MAC sink no code transmits from inside deliver() —
-    /// every MAC send goes through a scheduled backoff/SIFS event — so
-    /// the pool cannot reallocate while a slot is being read.
+    /// In-flight frame pool: one slot per transmission from
+    /// start-of-frame until its delivery pass finishes, recycled with
+    /// payload capacity retained. It cannot reallocate while a slot is
+    /// being read because transmit() refuses to run while `delivering`.
     std::vector<Frame> inflight;
     std::vector<std::uint32_t> free_inflight;
+    bool delivering = false;  ///< a delivery pass is reading `inflight`
     /// Low 48 bits of this shard's next transmission id.
     std::uint64_t next_tx_id = 0;
 

@@ -66,9 +66,6 @@ class Mac {
   /// number and source address.
   void send(Frame frame);
 
-  /// Frames currently queued (diagnostics).
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-
   /// Fault injection: the node's radio died. Flushes every queued
   /// frame (without a send-failed upcall — the application is dead
   /// too), cancels the ACK timer and freezes the MAC; subsequent
@@ -89,8 +86,6 @@ class Mac {
   /// live traffic for seconds. A frame already in service completes
   /// its ladder (its failure is the evidence the caller acted on).
   void fail_queued_to(NodeId dst);
-
-  [[nodiscard]] bool powered() const { return !down_; }
 
   /// Channel entry point for an intact reception (the Channel filters
   /// out damaged frames and ACKs addressed to other nodes).

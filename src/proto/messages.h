@@ -199,7 +199,7 @@ struct ShareMsg {
   std::uint32_t query_id = 0;
   net::NodeId sender = net::kNoNode;
   net::NodeId recipient = net::kNoNode;
-  net::Bytes sealed;  ///< crypto::seal of a ShareBody (see core/cpda_algebra.h)
+  net::Bytes sealed;  ///< crypto::seal_into of a ShareBody (see core/cpda_algebra.h)
   std::uint32_t epoch_tag = 0;  ///< freshness trailer (0 = untagged)
 
   [[nodiscard]] net::Bytes to_bytes() const;
@@ -276,7 +276,7 @@ struct SliceMsg {
   std::uint32_t query_id = 0;
   net::NodeId sender = net::kNoNode;
   net::NodeId recipient = net::kNoNode;
-  net::Bytes sealed;  ///< crypto::seal of one slice triple
+  net::Bytes sealed;  ///< crypto::seal_into of one slice triple
 
   [[nodiscard]] net::Bytes to_bytes() const;
   [[nodiscard]] static std::optional<SliceMsg> from_bytes(const net::Bytes& b);

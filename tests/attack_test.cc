@@ -98,7 +98,7 @@ TEST(AttackTest, SenMaitraDifferential) {
     std::vector<std::vector<proto::Aggregate>> shares(m);
     for (std::size_t i = 0; i < m; ++i) {
       values[i] = rng.uniform(-50.0, 50.0);
-      shares[i] = make_shares(proto::Aggregate::of(values[i]), seeds, rng);
+      make_shares_into(proto::Aggregate::of(values[i]), seeds, rng, shares[i]);
       ASSERT_EQ(shares[i].size(), m);
     }
 

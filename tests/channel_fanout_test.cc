@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "net/channel.h"
@@ -197,6 +198,21 @@ TEST(ChannelFanoutTest, TapSeesSenderAndExactBytes) {
   ASSERT_EQ(tapped.size(), 1u);
   EXPECT_EQ(tapped[0].first, 2u);
   EXPECT_EQ(tapped[0].second, Bytes(16, 7));
+}
+
+TEST(ChannelFanoutTest, TransmitFromInsideADeliveryPassThrows) {
+  // The pass reads the frame from a pooled slot that a nested
+  // transmission could move, so the channel refuses instead of
+  // handing the remaining receivers a dangling frame.
+  Network network(clique_topology(), NetworkConfig{});
+  auto& channel = network.channel();
+  channel.set_delivery([&](NodeId r, const Frame&, ReceptionStatus) {
+    channel.transmit(r, make_frame(r, 2, 16), nullptr);
+  });
+  network.scheduler().after(sim::seconds(0.001), [&] {
+    channel.transmit(4, make_frame(4, 1, 16), nullptr);
+  });
+  EXPECT_THROW(network.scheduler().run(), std::logic_error);
 }
 
 }  // namespace

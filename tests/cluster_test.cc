@@ -109,7 +109,8 @@ TEST(ClusterContextTest, FullRoundSolvesClusterSum) {
   // Share exchange.
   const auto seed_vals = ctxs[0].seed_values();
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto shares = make_shares(Aggregate::of(values[i]), seed_vals, rng);
+    std::vector<Aggregate> shares;
+    make_shares_into(Aggregate::of(values[i]), seed_vals, rng, shares);
     for (std::size_t j = 0; j < 3; ++j) {
       if (j == i) {
         ctxs[i].set_kept_share(shares[j]);
@@ -148,7 +149,8 @@ TEST(ClusterContextTest, ConsistentSubsetStillSolvable) {
   const auto seed_vals = ctxs[0].seed_values();
   const std::vector<double> values{5.0, 6.0};
   for (std::size_t i = 0; i < 2; ++i) {  // only members 10, 20 share
-    const auto shares = make_shares(Aggregate::of(values[i]), seed_vals, rng);
+    std::vector<Aggregate> shares;
+    make_shares_into(Aggregate::of(values[i]), seed_vals, rng, shares);
     for (std::size_t j = 0; j < 3; ++j) {
       if (j == i) {
         ctxs[i].set_kept_share(shares[j]);

@@ -57,7 +57,7 @@ TEST_P(CpdaPipelineTest, RecoversClusterSum) {
     // shares[i][j] = member i's share destined for member j.
     std::vector<std::vector<Aggregate>> shares(m);
     for (std::size_t i = 0; i < m; ++i) {
-      shares[i] = make_shares(values[i], seeds, rng);
+      make_shares_into(values[i], seeds, rng, shares[i]);
       ASSERT_EQ(shares[i].size(), m);
     }
     // F_j = sum_i shares[i][j].
@@ -88,8 +88,9 @@ TEST(CpdaAlgebraTest, SharesHideTheValue) {
   sim::Rng rng(77);
   const auto seeds = default_seeds(4);
   const Aggregate v = Aggregate::of(5.0);
-  const auto s1 = make_shares(v, seeds, rng);
-  const auto s2 = make_shares(v, seeds, rng);
+  std::vector<Aggregate> s1, s2;
+  make_shares_into(v, seeds, rng, s1);
+  make_shares_into(v, seeds, rng, s2);
   int equal_count = 0;
   for (std::size_t j = 0; j < 4; ++j) {
     if (std::abs(s1[j].sum - 5.0) < 1e-9) ++equal_count;
@@ -102,7 +103,8 @@ TEST(CpdaAlgebraTest, SingleMemberShareIsTheValue) {
   // m = 1: the polynomial is constant, the share IS the value.
   sim::Rng rng(5);
   const Aggregate v = Aggregate::of(3.5);
-  const auto s = make_shares(v, default_seeds(1), rng);
+  std::vector<Aggregate> s;
+  make_shares_into(v, default_seeds(1), rng, s);
   ASSERT_EQ(s.size(), 1u);
   EXPECT_EQ(s[0], v);
 }
@@ -117,7 +119,7 @@ TEST(CpdaAlgebraTest, PollutedAssemblyChangesSolution) {
   for (std::size_t i = 0; i < 3; ++i) {
     const Aggregate v = Aggregate::of(static_cast<double>(i + 1));
     truth.merge(v);
-    shares[i] = make_shares(v, seeds, rng);
+    make_shares_into(v, seeds, rng, shares[i]);
   }
   for (std::size_t j = 0; j < 3; ++j) {
     for (std::size_t i = 0; i < 3; ++i) assembled[j].merge(shares[i][j]);

@@ -75,7 +75,7 @@ TEST(CpdaPropertyTest, ReconstructionHoldsOverRandomCases) {
     for (std::size_t i = 0; i < m; ++i) {
       const Aggregate v = Aggregate::of(rng.uniform(-1000.0, 1000.0));
       truth.merge(v);
-      shares[i] = make_shares(v, seeds, rng);
+      make_shares_into(v, seeds, rng, shares[i]);
       ASSERT_EQ(shares[i].size(), m);
     }
     std::vector<std::size_t> order(m);
@@ -108,7 +108,7 @@ TEST(CpdaPropertyTest, RecoveredSumIsPermutationInvariant) {
     const auto seeds = random_seeds(m, rng);
     std::vector<std::vector<Aggregate>> shares(m);
     for (std::size_t i = 0; i < m; ++i) {
-      shares[i] = make_shares(Aggregate::of(rng.uniform(-100.0, 100.0)), seeds, rng);
+      make_shares_into(Aggregate::of(rng.uniform(-100.0, 100.0)), seeds, rng, shares[i]);
     }
 
     std::vector<std::size_t> order(m);

@@ -10,8 +10,11 @@
 //     implementation (commit 770b2b2). If these fail, the primitive
 //     itself changed — not just the batching — and every sealed frame
 //     in every golden trace is invalid.
-//  2. Differential checks of each batched path against its per-item
-//     reference over randomized inputs and cluster sizes.
+//  2. Differential checks of each batched path against an independent
+//     reference (KeyDeriver vs a plain Prf, link_keys vs link_key,
+//     patch_share vs fresh serialization), and of each arena kernel
+//     run on a dirty reused buffer against the same call on a fresh
+//     one, over randomized inputs and cluster sizes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +29,18 @@
 
 namespace icpda::crypto {
 namespace {
+
+/// KeyDeriver's independent reference: the per-link derivation spelled
+/// out on the public Prf, with no cached state.
+Key derive_key(const Key& master, std::uint64_t label_a, std::uint64_t label_b) {
+  Prf prf(master);
+  prf.absorb_u64(label_a);
+  prf.absorb_u64(label_b);
+  Key k;
+  k.words[0] = prf.squeeze64();
+  k.words[1] = prf.squeeze64();
+  return k;
+}
 
 // ---------------------------------------------------------------------
 // Golden known-answer vectors (pre-batching implementation).
@@ -95,7 +110,8 @@ TEST(CryptoBatchTest, SealGoldenVectors) {
   for (const auto& [len, want_hex] : vecs) {
     Bytes p(len);
     for (std::size_t i = 0; i < len; ++i) p[i] = static_cast<std::uint8_t>(0xA0 + i);
-    const Bytes sealed = seal(key, 0x0123456789ABCDEFULL + len, p);
+    Bytes sealed;
+    seal_into(key, 0x0123456789ABCDEFULL + len, p, sealed);
     std::string got;
     for (const std::uint8_t byte : sealed) {
       constexpr char kHex[] = "0123456789abcdef";
@@ -103,10 +119,9 @@ TEST(CryptoBatchTest, SealGoldenVectors) {
       got += kHex[byte & 0xF];
     }
     EXPECT_EQ(got, want_hex) << "len " << len;
-    // Round trip under both open paths.
-    const auto back = open(key, sealed);
-    ASSERT_TRUE(back.has_value()) << "len " << len;
-    EXPECT_EQ(*back, p);
+    Bytes back;
+    ASSERT_TRUE(open_into(key, sealed, back)) << "len " << len;
+    EXPECT_EQ(back, p);
   }
 }
 
@@ -167,10 +182,18 @@ TEST(CryptoBatchTest, EgPredistributionLinkKeysMatchesPerPair) {
 }
 
 // ---------------------------------------------------------------------
-// Differential: seal_into/open_into vs seal/open over random lengths,
-// with the out-buffers deliberately reused (warm-arena behaviour).
+// Arena vs fresh buffer: seal_into/open_into over random lengths, each
+// out-buffer reused and pre-filled with junk of random length (longer
+// or shorter than the result) before every call, must produce exactly
+// what a fresh buffer receives.
 
-TEST(CryptoBatchTest, SealIntoOpenIntoMatchSealOpen) {
+Bytes junk(sim::Rng& rng) {
+  Bytes b(rng() % 400);
+  for (auto& byte : b) byte = static_cast<std::uint8_t>(rng());
+  return b;
+}
+
+TEST(CryptoBatchTest, SealIntoOpenIntoDirtyBufferMatchesFresh) {
   sim::Rng rng(0x5EA1B0);
   Bytes sealed_arena;
   Bytes plain_arena;
@@ -180,18 +203,22 @@ TEST(CryptoBatchTest, SealIntoOpenIntoMatchSealOpen) {
     Bytes plaintext(rng() % 300);
     for (auto& byte : plaintext) byte = static_cast<std::uint8_t>(rng());
 
+    sealed_arena = junk(rng);
     seal_into(key, nonce, plaintext, sealed_arena);
-    EXPECT_EQ(sealed_arena, seal(key, nonce, plaintext)) << "case " << i;
+    Bytes sealed_fresh;
+    seal_into(key, nonce, plaintext, sealed_fresh);
+    EXPECT_EQ(sealed_arena, sealed_fresh) << "case " << i;
 
+    plain_arena = junk(rng);
     ASSERT_TRUE(open_into(key, sealed_arena, plain_arena)) << "case " << i;
     EXPECT_EQ(plain_arena, plaintext) << "case " << i;
 
-    // Tampered ciphertext: both open paths must agree on rejection.
+    // Tampered ciphertext is rejected and leaves no stale plaintext.
     Bytes corrupt = sealed_arena;
     corrupt[rng() % corrupt.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
-    EXPECT_EQ(open_into(key, corrupt, plain_arena),
-              open(key, corrupt).has_value())
-        << "case " << i;
+    plain_arena = junk(rng);
+    EXPECT_FALSE(open_into(key, corrupt, plain_arena)) << "case " << i;
+    EXPECT_TRUE(plain_arena.empty()) << "case " << i;
     // Wrong key never opens.
     EXPECT_FALSE(open_into(Key::from_seed(rng()), sealed_arena, plain_arena));
     // Truncated below the overhead is malformed, not a crash.
@@ -201,11 +228,11 @@ TEST(CryptoBatchTest, SealIntoOpenIntoMatchSealOpen) {
 }
 
 // ---------------------------------------------------------------------
-// Differential: make_shares_into vs make_shares — identical Rng seed
-// must yield bitwise-identical shares (same draw order, same float
-// ops), with the share vector reused across cluster sizes.
+// Arena vs fresh vector: make_shares_into on a share vector reused
+// across cluster sizes and pre-filled with junk shares must equal the
+// same call (identical Rng seed) on a fresh vector, bit for bit.
 
-TEST(CryptoBatchTest, MakeSharesIntoMatchesMakeShares) {
+TEST(CryptoBatchTest, MakeSharesIntoDirtyBufferMatchesFresh) {
   sim::Rng seeder(0x5AA7E5);
   std::vector<proto::Aggregate> arena;
   for (int i = 0; i < 200; ++i) {
@@ -218,7 +245,10 @@ TEST(CryptoBatchTest, MakeSharesIntoMatchesMakeShares) {
     const std::uint64_t rng_seed = seeder();
 
     sim::Rng rng_a(rng_seed);
-    const auto reference = core::make_shares(value, seeds, rng_a);
+    std::vector<proto::Aggregate> reference;
+    core::make_shares_into(value, seeds, rng_a, reference);
+    const std::size_t junk_size = seeder() % 48;
+    arena.assign(junk_size, proto::Aggregate::of(seeder.uniform(-1e6, 1e6)));
     sim::Rng rng_b(rng_seed);
     core::make_shares_into(value, seeds, rng_b, arena);
 

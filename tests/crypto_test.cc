@@ -55,11 +55,11 @@ TEST(PrfTest, OutputLooksBalanced) {
 }
 
 TEST(DeriveKeyTest, DistinctPerLabel) {
-  const Key master = Key::from_seed(100);
-  const Key a = derive_key(master, 1, 2);
-  const Key b = derive_key(master, 2, 1);
-  const Key c = derive_key(master, 1, 3);
-  EXPECT_EQ(a, derive_key(master, 1, 2));
+  const KeyDeriver deriver(Key::from_seed(100));
+  const Key a = deriver.derive(1, 2);
+  const Key b = deriver.derive(2, 1);
+  const Key c = deriver.derive(1, 3);
+  EXPECT_EQ(a, deriver.derive(1, 2));
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
 }
@@ -69,53 +69,59 @@ TEST(DeriveKeyTest, DistinctPerLabel) {
 TEST(CipherTest, SealOpenRoundTrip) {
   const Key k = Key::from_seed(5);
   const Bytes plain{10, 20, 30, 40, 50};
-  const Bytes sealed = seal(k, 12345, plain);
+  Bytes sealed, opened;
+  seal_into(k, 12345, plain, sealed);
   EXPECT_EQ(sealed.size(), plain.size() + kSealOverheadBytes);
-  const auto opened = open(k, sealed);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, plain);
+  ASSERT_TRUE(open_into(k, sealed, opened));
+  EXPECT_EQ(opened, plain);
 }
 
 TEST(CipherTest, EmptyPlaintext) {
   const Key k = Key::from_seed(5);
-  const auto opened = open(k, seal(k, 1, {}));
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_TRUE(opened->empty());
+  Bytes sealed, opened{1};
+  seal_into(k, 1, {}, sealed);
+  ASSERT_TRUE(open_into(k, sealed, opened));
+  EXPECT_TRUE(opened.empty());
 }
 
 TEST(CipherTest, WrongKeyFails) {
-  const Bytes sealed = seal(Key::from_seed(5), 1, {1, 2, 3});
-  EXPECT_FALSE(open(Key::from_seed(6), sealed).has_value());
+  Bytes sealed, opened;
+  seal_into(Key::from_seed(5), 1, Bytes{1, 2, 3}, sealed);
+  EXPECT_FALSE(open_into(Key::from_seed(6), sealed, opened));
 }
 
 TEST(CipherTest, TamperDetected) {
   const Key k = Key::from_seed(5);
-  Bytes sealed = seal(k, 1, {1, 2, 3});
+  Bytes sealed, opened;
+  seal_into(k, 1, Bytes{1, 2, 3}, sealed);
   for (std::size_t i = 0; i < sealed.size(); ++i) {
     Bytes tampered = sealed;
     tampered[i] ^= 0x01;
-    EXPECT_FALSE(open(k, tampered).has_value()) << "byte " << i;
+    EXPECT_FALSE(open_into(k, tampered, opened)) << "byte " << i;
   }
 }
 
 TEST(CipherTest, TruncatedInputRejected) {
   const Key k = Key::from_seed(5);
-  EXPECT_FALSE(open(k, Bytes(kSealOverheadBytes - 1, 0)).has_value());
-  EXPECT_FALSE(open(k, {}).has_value());
+  Bytes opened;
+  EXPECT_FALSE(open_into(k, Bytes(kSealOverheadBytes - 1, 0), opened));
+  EXPECT_FALSE(open_into(k, {}, opened));
 }
 
 TEST(CipherTest, DistinctNoncesGiveDistinctCiphertext) {
   const Key k = Key::from_seed(5);
   const Bytes plain{1, 2, 3, 4};
-  const Bytes a = seal(k, 1, plain);
-  const Bytes b = seal(k, 2, plain);
+  Bytes a, b;
+  seal_into(k, 1, plain, a);
+  seal_into(k, 2, plain, b);
   EXPECT_NE(a, b);
 }
 
 TEST(CipherTest, CiphertextHidesPlaintext) {
   const Key k = Key::from_seed(5);
   const Bytes plain(64, 0xAA);
-  const Bytes sealed = seal(k, 7, plain);
+  Bytes sealed;
+  seal_into(k, 7, plain, sealed);
   // The body must not contain the constant plaintext run.
   int matches = 0;
   for (std::size_t i = 8; i < 8 + plain.size(); ++i) {

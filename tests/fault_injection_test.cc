@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/faults.h"
@@ -154,6 +155,91 @@ TEST(FaultInjectionTest, MemberCrashTriggersPhase2RecoveryRound) {
   // no value-tamper alarms from mixing rounds.
   EXPECT_EQ(rig.outcome.significant_alarms, 0u);
 }
+
+// ---------------------------------------------------------------------
+// Clusters that end up a lone head, at roster time or after a Phase II
+// recovery, under both small-cluster policies; and a live member the
+// recovery roster leaves out, which stands down. Each case pins the
+// outcome tallies and the one metric its branch emits.
+
+enum class Shrink : std::uint8_t {
+  kRoundZeroLoneHead,  ///< nobody joins: the roster is the head alone
+  kRecoveryLoneHead,   ///< the only member crashes before its F
+  kRecoveryExcluded,   ///< a member blinks through its F slot
+};
+
+struct ShrinkCase {
+  const char* name;
+  Shrink shrink;
+  SmallClusterPolicy policy;
+  const char* metric;
+  /// A two-node round-0 cluster is below min_cluster_size: both its
+  /// nodes count as degraded before any recovery runs.
+  std::uint32_t degraded_privacy;
+  std::uint32_t clusters_failed;
+  std::uint32_t unclustered;
+  std::uint32_t members;
+};
+
+// Stable test names: gtest would otherwise print the raw bytes
+// (pointers and padding) of each case.
+void PrintTo(const ShrinkCase& c, std::ostream* os) { *os << c.name; }
+
+class ClusterShrinkTest : public ::testing::TestWithParam<ShrinkCase> {};
+
+TEST_P(ClusterShrinkTest, TalliesAndMetricMatchTheBranch) {
+  const ShrinkCase& c = GetParam();
+  IcpdaConfig cfg;
+  cfg.pc = 0.0;
+  cfg.small_cluster_policy = c.policy;
+  FaultPlan faults;
+  std::vector<net::Point> points;
+  switch (c.shrink) {
+    case Shrink::kRoundZeroLoneHead:
+      points = {{0, 0}, {30, 0}};
+      break;
+    case Shrink::kRecoveryLoneHead:
+      points = {{0, 0}, {30, 0}, {30, 30}};
+      faults.crash_at_s[2] = 1.0;  // after the roster, before its F
+      break;
+    case Shrink::kRecoveryExcluded:
+      // Star around head 1; member 4 is down through its F slot and up
+      // again before the head's solve deadline, so it hears the
+      // recovery roster that omits it.
+      points = {{0, 0}, {30, 0}, {30, 30}, {60, 0}, {30, -30}};
+      faults.outages[4].push_back({1.0, 1.5});
+      break;
+  }
+  const std::size_t n = points.size();
+  net::Network network(net::Topology{std::move(points), 50.0}, paper_network(n, 35));
+  const auto keys = master_keys();
+  FaultRig rig(network, cfg, proto::constant_reading(1.0), keys, faults, pin_head(1));
+
+  EXPECT_EQ(rig.apps[1]->role(), ClusterRole::kHead);
+  EXPECT_EQ(network.metrics().counter(c.metric), 1u) << c.metric;
+  EXPECT_EQ(rig.outcome.degraded_privacy, c.degraded_privacy);
+  EXPECT_EQ(rig.outcome.clusters_failed, c.clusters_failed);
+  EXPECT_EQ(rig.outcome.unclustered, c.unclustered);
+  EXPECT_EQ(rig.outcome.members, c.members);
+  EXPECT_TRUE(rig.outcome.accepted());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LoneHeadAndStandDown, ClusterShrinkTest,
+    ::testing::Values(
+        ShrinkCase{"RoundZeroClear", Shrink::kRoundZeroLoneHead,
+                   SmallClusterPolicy::kClearReport, "icpda.lone_head_clear", 1, 0, 0, 0},
+        ShrinkCase{"RoundZeroDrop", Shrink::kRoundZeroLoneHead, SmallClusterPolicy::kDrop,
+                   "icpda.lone_head_dropped", 0, 1, 0, 0},
+        ShrinkCase{"RecoveryClear", Shrink::kRecoveryLoneHead,
+                   SmallClusterPolicy::kClearReport, "icpda.recovery_lone_clear", 3, 0, 0, 1},
+        ShrinkCase{"RecoveryDrop", Shrink::kRecoveryLoneHead, SmallClusterPolicy::kDrop,
+                   "icpda.recovery_lone_dropped", 2, 1, 0, 1},
+        ShrinkCase{"RecoveryExcludedClear", Shrink::kRecoveryExcluded,
+                   SmallClusterPolicy::kClearReport, "icpda.recovery_excluded", 0, 0, 1, 2},
+        ShrinkCase{"RecoveryExcludedDrop", Shrink::kRecoveryExcluded,
+                   SmallClusterPolicy::kDrop, "icpda.recovery_excluded", 0, 0, 1, 2}),
+    [](const ::testing::TestParamInfo<ShrinkCase>& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------
 // Transient outage: the node blinks, the epoch survives, and the node

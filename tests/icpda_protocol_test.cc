@@ -171,17 +171,6 @@ TEST(IcpdaProtocolTest, WitnessesArmInDenseNetworks) {
   EXPECT_GT(armed, rig.outcome.members / 2);
 }
 
-TEST(IcpdaProtocolTest, WatchdogDisabledStillAggregates) {
-  net::Network network(paper_network(300, 29));
-  IcpdaConfig cfg;
-  cfg.watchdog_enabled = false;
-  const auto keys = master_keys();
-  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
-  ASSERT_TRUE(rig.outcome.result.has_value());
-  EXPECT_GT(rig.outcome.result->count, 0.9 * 299);
-  EXPECT_EQ(network.metrics().counter("icpda.watchdog_alarm"), 0u);
-}
-
 TEST(IcpdaProtocolTest, PollutingRelayIsCaughtByWatchdog) {
   // Find a seed where some relay actually forwards traffic, make it a
   // polluter that does NOT grab a head role (pure in-transit tamper).

@@ -132,16 +132,6 @@ TEST(WitnessMonitorTest, LateChildInsideGuardForgiven) {
   EXPECT_EQ(v.kind, Kind::kClean);
 }
 
-TEST(WitnessMonitorTest, OmissionCheckDisabled) {
-  WitnessMonitor::Config cfg;
-  cfg.alarm_on_omission = false;
-  const Aggregate cluster{3, 10, 40};
-  auto m = armed_monitor(cluster, cfg);
-  m.record_input(child_report(3, Aggregate{1, 4, 16}), sim::seconds(0.1));
-  const auto v = m.audit(head_report({{kHead, cluster}}), sim::seconds(5.0));
-  EXPECT_EQ(v.kind, Kind::kClean);
-}
-
 TEST(WitnessMonitorTest, ToleranceScalesWithMagnitude) {
   WitnessMonitor::Config cfg;
   cfg.tolerance = 1e-6;

@@ -239,7 +239,7 @@ TEST(MessagesFuzzTest, ShareBody) {
 // The batched Phase II sender serializes one ShareBody template per
 // cluster round and, per peer, patches the 24-byte share triple in
 // place before sealing through a reused arena (patch_share + seal_into)
-// instead of serializing and seal()-ing a fresh body each time. The
+// instead of serializing and sealing a fresh body each time. The
 // frames on the air must be byte-for-byte what the naive path produces
 // — and they must survive the same hostile-input codec battery.
 
@@ -267,11 +267,11 @@ TEST(MessagesFuzzTest, BatchedSealPathFramesMatchPerShareSealing) {
         core::ShareBody::patch_share(body_bytes, share);
         crypto::seal_into(key, nonce, body_bytes, sealed_arena);
 
-        // Naive reference: fresh body, fresh serialization, seal().
+        // Naive reference: fresh body, fresh serialization, fresh buffer.
         core::ShareBody fresh = tmpl;
         fresh.share = share;
-        const crypto::Bytes reference =
-            crypto::seal(key, nonce, fresh.to_bytes());
+        crypto::Bytes reference;
+        crypto::seal_into(key, nonce, fresh.to_bytes(), reference);
         ASSERT_EQ(sealed_arena, reference)
             << "peer " << peer << " round_case " << round_case;
 
@@ -289,7 +289,8 @@ TEST(MessagesFuzzTest, BatchedSealPathFramesMatchPerShareSealing) {
           const auto decoded = ShareMsg::from_bytes(msg.to_bytes());
           ASSERT_TRUE(decoded.has_value());
           EXPECT_EQ(decoded->to_bytes(), msg.to_bytes());
-          ASSERT_TRUE(crypto::open(key, decoded->sealed).has_value());
+          crypto::Bytes opened;
+          ASSERT_TRUE(crypto::open_into(key, decoded->sealed, opened));
         }
       }
     }

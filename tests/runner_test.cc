@@ -389,7 +389,11 @@ std::array<Campaign, 2> two_tables() {
 /// the exit code and fills `out` with the file's contents.
 int bench_main_to_string(std::span<const Campaign> tables, std::vector<std::string> args,
                          std::string& out) {
-  const std::string path = testing::TempDir() + "runner_test_tables.jsonl";
+  // Named per test: ctest runs each test as its own process, in
+  // parallel, so a shared file name lets two tests clobber each other.
+  const std::string path = testing::TempDir() + "runner_test_" +
+                           testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".jsonl";
   std::remove(path.c_str());
   args.insert(args.begin(), {"bench_x", "--no-progress", "--out=" + path});
   std::vector<char*> argv;

@@ -230,5 +230,32 @@ TEST(ShardDeterminismTest, OutcomeFingerprintCoversTheStruct) {
          "new field, then relax this bound";
 }
 
+// Network::footprint() is what the footprint probe and its CI gate
+// report: every component must be counted, the shard plan only when
+// there is one, and the channel's pools at their high-water mark.
+TEST(NetworkFootprintTest, CountsEveryComponentAndThePlanOnlyWhenSharded) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    net::NetworkConfig ncfg;
+    ncfg.node_count = 200;
+    ncfg.field_width_m = 310.0;
+    ncfg.field_height_m = 310.0;
+    ncfg.seed = 0x601D;
+    ncfg.shards = shards;
+    net::Network net(ncfg);
+    const net::Network::Footprint before = net.footprint();
+    const crypto::MasterPairwiseScheme keys(crypto::Key::from_seed(0x7357));
+    run_icpda_epoch(net, IcpdaConfig{}, proto::constant_reading(1.0), keys);
+    const net::Network::Footprint after = net.footprint();
+    EXPECT_GT(after.topology, 0u);
+    EXPECT_GT(after.schedulers, 0u);
+    EXPECT_GT(after.macs, 0u);
+    EXPECT_GT(after.metrics, 0u);
+    EXPECT_GT(after.objects, 0u);
+    EXPECT_GT(after.channel, before.channel);  // in-flight frame pools filled
+    EXPECT_EQ(after.plan > 0, shards > 1);
+  }
+}
+
 }  // namespace
 }  // namespace icpda::core
