@@ -25,8 +25,7 @@
 
 namespace {
 
-/// Protocol phases reported as row columns, in column order. kDispatch
-/// never holds bytes here (scheduler spans stay off).
+/// Protocol phases reported as row columns, in column order.
 constexpr icpda::sim::TracePhase kReportedPhases[] = {
     icpda::sim::TracePhase::kNone,
     icpda::sim::TracePhase::kClusterFormation,

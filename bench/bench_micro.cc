@@ -3,9 +3,9 @@
 // PRF throughput, scheduler push/pop/cancel, channel broadcast
 // fan-out, topology construction, and full-epoch wall-clock.
 //
-// The scheduler/channel/epoch kernels feed BENCH_PR4.json (see
-// tools/perf_smoke.py): they are the repo's perf-regression baseline,
-// so keep their names and Arg lists stable.
+// The scheduler/channel/epoch kernels feed BENCH_PR8.json and
+// BENCH_PR10.json (see tools/perf_smoke.py): they are the repo's
+// perf-regression baseline, so keep their names and Arg lists stable.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -299,8 +299,8 @@ BENCHMARK(BM_TopologyBuild)->Arg(200)->Arg(600)->Arg(2000);
 // The smoke lane runs every registered benchmark, so the expensive T3
 // scaling points (N=3000..5000 is minutes of wall-clock per pass) and
 // the T5 sharded-engine scaling points (N up to 100k) are only
-// registered under ICPDA_BIG_N=1 — used when regenerating
-// BENCH_PR4.json / BENCH_PR9.json and the EXPERIMENTS.md T3/T5 tables.
+// registered under ICPDA_BIG_N=1 — used when regenerating the
+// EXPERIMENTS.md T3/T5 tables.
 int main(int argc, char** argv) {
   if (std::getenv("ICPDA_BIG_N")) {
     benchmark::RegisterBenchmark("BM_IcpdaEpoch", BM_IcpdaEpoch)

@@ -55,10 +55,6 @@ void add_counter(PhaseStat& stat, TraceCounter c, std::uint64_t value) {
     case TraceCounter::kQueryLaunch:
     case TraceCounter::kQueryComplete:
     case TraceCounter::kQueryDrop:
-    case TraceCounter::kShardRounds:
-    case TraceCounter::kShardGateRounds:
-    case TraceCounter::kShardGateEvents:
-    case TraceCounter::kShardParallelEvents:
     case TraceCounter::kMaxCounter:
       break;  // occurrence counters: no byte bucket
   }

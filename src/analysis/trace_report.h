@@ -74,8 +74,7 @@ struct TraceReport {
 /// interleaving of same-instant events and the seq numbering are
 /// artifacts of the engine (single-heap FIFO vs per-shard rings) —
 /// this digest sees the former and not the latter, so it must agree
-/// across --shards values. Do not enable Tracer shard_counters when
-/// comparing: those global-ring counters are engine-shaped by design.
+/// across --shards values.
 [[nodiscard]] std::uint64_t canonical_trace_digest(
     const std::vector<sim::TraceEvent>& events);
 

@@ -14,8 +14,7 @@ namespace {
 Topology build_topology(const NetworkConfig& config, sim::Rng& rng) {
   const Field field{config.field_width_m, config.field_height_m};
   sim::Rng topo_rng = rng.fork("topology");
-  return make_random_topology(field, config.node_count, config.range_m, topo_rng,
-                              config.base_station_at_center);
+  return make_random_topology(field, config.node_count, config.range_m, topo_rng);
 }
 
 /// With ICPDA_ANNOUNCE_PLAN set (the runner sets it alongside its
@@ -79,7 +78,6 @@ void Network::wire() {
         std::make_shared<sim::CreatorCounters>(topology_.size());
     for (std::uint32_t s = 0; s < shards; ++s) {
       shard_scheds_.push_back(std::make_unique<sim::Scheduler>(counters));
-      shard_scheds_.back()->set_tracer(&tracer_);
       shard_metrics_.push_back(std::make_unique<sim::MetricRegistry>());
     }
     // Trace rings stay single-writer under parallel drains only with
@@ -104,7 +102,6 @@ void Network::wire() {
 
   channel_ = std::make_unique<Channel>(topology_, scheduler_, rng_.fork("channel"),
                                        metrics_, config_.channel);
-  scheduler_.set_tracer(&tracer_);
   channel_->set_tracer(&tracer_);
   if (engine_) {
     Channel::ShardWiring wiring;
@@ -212,25 +209,12 @@ sim::SimTime Network::run(sim::SimTime horizon) {
   // Arbitrary shared observers make every event a potential cross-shard
   // interaction: run the whole horizon through the serialized gate
   // (identical results, no parallelism) rather than risk a torn read.
-  const bool serialize = serialize_all_ || channel_->has_taps() ||
-                         (tracer_.enabled() && tracer_.config().scheduler_spans);
+  const bool serialize = serialize_all_ || channel_->has_taps();
   const sim::SimTime end = engine_->run(horizon, serialize);
 
   // Fold per-shard registries into the main one, in shard order —
   // deterministic, and Cell handles survive for the next run.
   for (auto& m : shard_metrics_) m->drain_into(metrics_);
-
-  if (tracer_.enabled() && tracer_.config().shard_counters) {
-    const ShardEngine::Stats& st = engine_->stats();
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardRounds,
-                    st.rounds, end);
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardGateRounds,
-                    st.gate_rounds, end);
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardGateEvents,
-                    st.gate_events, end);
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardParallelEvents,
-                    st.parallel_events, end);
-  }
   return end;
 }
 

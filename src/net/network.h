@@ -43,7 +43,6 @@ struct NetworkConfig {
   double field_width_m = 400.0;
   double field_height_m = 400.0;
   double range_m = 50.0;
-  bool base_station_at_center = true;
   std::uint64_t seed = 1;
   /// Spatial shards for parallel execution (1 = classic single-engine
   /// run). Clamped to the node count; results are byte-identical for

@@ -16,6 +16,7 @@
 #include "sim/metrics.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
+#include "sim/trace.h"
 
 namespace icpda::net {
 

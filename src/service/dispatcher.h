@@ -48,9 +48,6 @@ struct ServiceConfig {
   double deadline_s = 30.0;
   /// Arrival-process seed and per-(node, query) protocol RNG salt.
   std::uint64_t seed = 1;
-  /// Post-close drain per query before its record is cut (mirrors the
-  /// single-epoch runner's grace for straggler alarms).
-  double drain_grace_s = 3.0;
   /// Stamp query ids on protocol phase spans (see IcpdaConfig).
   bool trace_query_spans = false;
   /// Aggregate kinds assigned round-robin by arrival index.

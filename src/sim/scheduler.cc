@@ -94,14 +94,7 @@ void Scheduler::index_border(const EventKey& key, std::uint32_t s) {
 void Scheduler::dispatch(Popped& ev) {
   now_ = ev.at;
   const CreatorScope creator(ev.owner);
-  Tracer* tr = tracer_;
-  const bool span = tr && tr->enabled() && tr->config().scheduler_spans;
-  if (span) {
-    tr->begin_span(kTraceGlobalNode, TracePhase::kDispatch, now_,
-                   static_cast<std::uint64_t>(ev.id));
-  }
   ev.fn();
-  if (span) tr->end_span(kTraceGlobalNode, TracePhase::kDispatch, now_);
   ++executed_;
 }
 
@@ -197,7 +190,6 @@ bool Scheduler::pop_next(Popped& out) {
   Meta& m = meta_[s];
   out.at = heap_[0].key.at;
   out.owner = heap_[0].owner;
-  out.id = encode(s, m.gen);
   out.fn = std::move(fns_[s]);  // move empties the slab cell
   m.heap_pos = kNotQueued;
   ++m.gen;

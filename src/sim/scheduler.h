@@ -51,7 +51,6 @@
 
 #include "sim/event.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace icpda::sim {
 
@@ -212,12 +211,6 @@ class Scheduler {
   /// the shards of a sharded run).
   [[nodiscard]] const CreatorCounters& counters() const { return *counters_; }
 
-  /// Attach a tracer: when it is enabled with scheduler_spans set, the
-  /// run loops record a kDispatch span (global node, value = event id)
-  /// around every callback. Pass nullptr to detach. Purely
-  /// observational — attaching a tracer never changes event order.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
   /// Heap bytes held by the event storage (slot slabs, heap, border
   /// index) — capacity-based, so it reports high-water footprint, not
   /// the instantaneous queue depth. The counter table is excluded: it
@@ -284,12 +277,11 @@ class Scheduler {
   struct Popped {
     SimTime at;
     std::uint32_t owner;
-    EventId id;
     EventFn fn;
   };
 
   /// Run one popped event, with its owner as the creator of whatever
-  /// it schedules and the optional trace span around it.
+  /// it schedules.
   void dispatch(Popped& ev);
 
   /// Pops the next event into `out`; false if the queue is empty. The
@@ -311,7 +303,6 @@ class Scheduler {
   std::shared_ptr<CreatorCounters> counters_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace icpda::sim

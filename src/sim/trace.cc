@@ -14,7 +14,6 @@ const char* trace_phase_name(TracePhase p) {
     case TracePhase::kPeerMonitoring: return "peer_monitoring";
     case TracePhase::kReport: return "report";
     case TracePhase::kRecovery: return "recovery";
-    case TracePhase::kDispatch: return "dispatch";
     case TracePhase::kMaxPhase: break;
   }
   return "invalid";
@@ -35,10 +34,6 @@ const char* trace_counter_name(TraceCounter c) {
     case TraceCounter::kQueryLaunch: return "query_launch";
     case TraceCounter::kQueryComplete: return "query_complete";
     case TraceCounter::kQueryDrop: return "query_drop";
-    case TraceCounter::kShardRounds: return "shard_rounds";
-    case TraceCounter::kShardGateRounds: return "shard_gate_rounds";
-    case TraceCounter::kShardGateEvents: return "shard_gate_events";
-    case TraceCounter::kShardParallelEvents: return "shard_parallel_events";
     case TraceCounter::kMaxCounter: break;
   }
   return "invalid";
@@ -177,8 +172,7 @@ void Tracer::end_span(std::uint32_t node, TracePhase phase, SimTime t,
     }
     return;
   }
-  // Global pseudo-node: no stack bookkeeping (dispatch spans are
-  // strictly sequential).
+  // Global pseudo-node: no span stack; the end is recorded as given.
   record(node, TraceEvent{t.seconds(), 0, reason, node, TraceEvent::Kind::kEnd,
                           static_cast<std::uint8_t>(phase), 0});
 }

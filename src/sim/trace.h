@@ -54,7 +54,6 @@ enum class TracePhase : std::uint8_t {
   kPeerMonitoring,    ///< iCPDA III: armed witness overhearing its head
   kReport,            ///< iCPDA III: up-tree report / forwarding duty
   kRecovery,          ///< PR-1: Phase II crash-recovery round
-  kDispatch,          ///< scheduler event dispatch (global node)
   kMaxPhase,          ///< sentinel: number of phases
 };
 
@@ -73,13 +72,6 @@ enum class TraceCounter : std::uint8_t {
   kQueryLaunch,     ///< service dispatcher launched a query (value = query id)
   kQueryComplete,   ///< service query closed at the BS (value = query id)
   kQueryDrop,       ///< service admission dropped a query (value = query id)
-  // Sharded-engine barrier counters (net/shard_engine.h), recorded on
-  // the global pseudo-node once per run when Config::shard_counters is
-  // set. Values are counts, not bytes.
-  kShardRounds,         ///< lookahead windows advanced
-  kShardGateRounds,     ///< windows that needed a serialized gate
-  kShardGateEvents,     ///< events executed inside gates (serial)
-  kShardParallelEvents, ///< events executed in parallel drains
   kMaxCounter,      ///< sentinel: number of counters
 };
 
@@ -90,8 +82,8 @@ enum : std::uint64_t {
   kSpanEndFinalized = 2,    ///< epoch driver closed it at epoch end
 };
 
-/// The node id used for events with no single owner (scheduler
-/// dispatch spans, epoch markers).
+/// The node id used for events with no single owner (epoch markers,
+/// service query counters).
 inline constexpr std::uint32_t kTraceGlobalNode = 0xFFFFFFFFu;
 
 /// One trace record. Fixed-size POD; `seq` is the global record order.
@@ -125,12 +117,8 @@ class Tracer {
     /// events are overwritten and `dropped()` counts them — truncation
     /// is explicit, never silent.
     std::size_t node_capacity = 4096;
-    /// Ring capacity of the global pseudo-node (markers + dispatch).
+    /// Ring capacity of the global pseudo-node (markers, query counters).
     std::size_t global_capacity = 4096;
-    /// Record a kDispatch span around every scheduler event. High
-    /// volume (one span per simulated event); off by default so the
-    /// protocol-phase rings keep their history on long runs.
-    bool scheduler_spans = false;
     /// Record receiver-side channel events (kRxBytes, kCollisionBytes,
     /// kLossBytes). One event per in-range receiver per frame — the
     /// dominant volume in dense networks. Disable for sender-side byte
@@ -138,10 +126,6 @@ class Tracer {
     bool rx_events = true;
     /// Record MAC backoff draws (kBackoffSlots).
     bool mac_events = true;
-    /// Record the sharded engine's window/gate occupancy counters
-    /// (kShard*) on the global pseudo-node at the end of each run. Off
-    /// by default so single-shard golden traces are unaffected.
-    bool shard_counters = false;
   };
 
   Tracer() = default;
@@ -179,8 +163,8 @@ class Tracer {
   // with enabled() themselves to skip argument computation.
 
   /// Open a phase span on `node` (pushes onto the node's span stack).
-  /// `value` is free-form span metadata (e.g. the scheduler event id
-  /// for kDispatch spans); protocol phases leave it zero.
+  /// `value` is free-form span metadata (e.g. the service layer's
+  /// query id); protocol phases leave it zero.
   void begin_span(std::uint32_t node, TracePhase phase, SimTime t,
                   std::uint64_t value = 0);
 

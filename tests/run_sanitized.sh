@@ -5,7 +5,9 @@
 #      on the crash/purge/recovery paths the happy path never touches.
 #   2. ubsan — UBSan alone: no shadow-memory slowdown, so the
 #      allocation-heavy randomized suites (property/fuzz, label `slow`)
-#      join the run and hostile-input UB gets real coverage.
+#      join the run and hostile-input UB gets real coverage; the
+#      `slow` bench_fault shard grid and N=20k footprint gate come
+#      along (the whole `slow` part takes ~160 s on 4 cores).
 #   3. tsan  — ThreadSanitizer over the sharded-engine suites: the
 #      conservative-PDES worker drains (net/shard_engine.cc) run
 #      concurrent Scheduler::run_before on a shared Channel, and the

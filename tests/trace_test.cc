@@ -182,39 +182,6 @@ TEST(TraceTest, MergedIsSortedBySeqAcrossNodes) {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler dispatch spans (opt-in; high volume).
-
-TEST(TraceTest, SchedulerRecordsDispatchSpansWhenEnabled) {
-  Scheduler sched;
-  Tracer tr;
-  Tracer::Config cfg;
-  cfg.scheduler_spans = true;
-  tr.enable(0, cfg);
-  sched.set_tracer(&tr);
-  int fired = 0;
-  sched.at(at(1.0), [&] { ++fired; });
-  sched.at(at(2.0), [&] { ++fired; });
-  sched.run();
-  EXPECT_EQ(fired, 2);
-  const auto events = tr.node_events(kTraceGlobalNode);
-  ASSERT_EQ(events.size(), 4u);  // B,E per event
-  EXPECT_EQ(events[0].kind, TraceEvent::Kind::kBegin);
-  EXPECT_EQ(static_cast<TracePhase>(events[0].tag), TracePhase::kDispatch);
-  EXPECT_DOUBLE_EQ(events[0].t, 1.0);
-  EXPECT_EQ(events[1].kind, TraceEvent::Kind::kEnd);
-}
-
-TEST(TraceTest, SchedulerSpansOffByDefault) {
-  Scheduler sched;
-  Tracer tr;
-  tr.enable(0);
-  sched.set_tracer(&tr);
-  sched.at(at(1.0), [] {});
-  sched.run();
-  EXPECT_EQ(tr.recorded(), 0u);
-}
-
-// ---------------------------------------------------------------------
 // fold_trace: attribution, busy time, unmatched ends.
 
 TEST(TraceTest, FoldAttributesCountersToInnermostOpenSpan) {

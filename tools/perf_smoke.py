@@ -5,9 +5,9 @@ Runs bench_micro (google-benchmark JSON output), extracts the DES
 substrate + protocol hot-path kernels, and compares them against the
 checked-in baselines (BENCH_PR8.json for the single-engine kernels,
 BENCH_PR10.json for the sharded-engine kernels under the
-micro-instant gate + tile plan; BENCH_PR4/PR7/PR9 are kept as
-history — PR9 carried the same sharded kernels pre-§5k, and a kernel
-may live in only one active baseline), printing a per-kernel
+micro-instant gate + tile plan; a kernel may live in only one
+baseline; earlier baselines are recorded in the EXPERIMENTS.md
+T3/T5/S1 tables), printing a per-kernel
 wall-clock delta. The step is advisory by default (exit 0 regardless
 of deltas): CI runners have noisy clocks, so timing regressions are
 flagged for a human, not gated. Pass --max-regress PCT to turn it
