@@ -88,6 +88,21 @@ void IcpdaApp::on_receive(net::Node& node, const net::Frame& frame) {
   }
 }
 
+std::uint64_t IcpdaApp::overheard_types() const {
+  // overhear_report acts on overheard reports. Beyond that, on_overhear
+  // only runs admit(): the freshness gate counts stale frames of the
+  // gated types in hardened runs, and replay capture keeps overheard
+  // F announcements (and reports) when an adversary is attached.
+  std::uint64_t types = std::uint64_t{1} << proto::kClusterReport;
+  if (config_.hardening.epoch_tag != 0) {
+    for (net::FrameType t = 0; t < 64; ++t) {
+      if (proto::epoch_tag_gated(t)) types |= std::uint64_t{1} << t;
+    }
+  }
+  if (adv_ != nullptr) types |= std::uint64_t{1} << proto::kFAnnounce;
+  return types;
+}
+
 void IcpdaApp::on_overhear(net::Node& node, const net::Frame& frame) {
   if (!admit(node, frame)) return;
   switch (frame.type) {
@@ -1415,7 +1430,11 @@ void IcpdaApp::raise_alarm(net::Node& node, net::NodeId accused,
   alarm.expected_sum = expected;
   alarm.observed_sum = observed;
   alarm.epoch_tag = config_.hardening.epoch_tag;
-  node.broadcast(proto::kAlarm, alarm.to_bytes());
+  // Tag the flood and hold it here: this node drops every copy that
+  // comes back, so the channel need not deliver them.
+  const std::uint16_t flood = node.open_flood();
+  node.hold_flood(flood);
+  node.broadcast(proto::kAlarm, alarm.to_bytes(), flood);
   node.metrics().add("icpda.alarm_raised");
 }
 
@@ -1437,10 +1456,13 @@ void IcpdaApp::handle_alarm(net::Node& node, const net::Frame& frame) {
   const auto alarm = AlarmMsg::from_bytes(frame.payload);
   if (!alarm || alarm->query_id != config_.query_id) return;
   if (!alarms_forwarded_.insert({alarm->witness, alarm->accused})) return;
+  // Every further copy of this flood carries the same payload and dies
+  // at the peek above: let the channel stop them (Channel::hold_flood).
+  node.hold_flood(frame.flood);
 
   if (!node.is_base_station()) {
     // Flood: rebroadcast each distinct (witness, accused) once.
-    node.broadcast(proto::kAlarm, frame.payload);
+    node.broadcast(proto::kAlarm, frame.payload, frame.flood);
     return;
   }
   if (outcome_) {

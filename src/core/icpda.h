@@ -124,6 +124,10 @@ class IcpdaApp final : public net::App {
   void on_receive(net::Node& node, const net::Frame& frame) override;
   void on_overhear(net::Node& node, const net::Frame& frame) override;
   void on_send_failed(net::Node& node, const net::Frame& frame) override;
+  /// The overheard types on_overhear acts on (net::App): reports, plus
+  /// the freshness-gated types when hardened and F announcements when
+  /// an adversary is attached.
+  [[nodiscard]] std::uint64_t overheard_types() const override;
 
   // Introspection for tests & the privacy auditor.
   [[nodiscard]] ClusterRole role() const { return role_; }
@@ -207,7 +211,10 @@ class IcpdaApp final : public net::App {
            adv_->is_compromised(node.id());
   }
   [[nodiscard]] bool attacking(AttackClass c, const net::Node& node) const {
-    return compromised(node) && adversary_->attack == c;
+    // The class compare first: it settles most calls without the set
+    // lookup in is_compromised.
+    return adv_ != nullptr && adversary_ != nullptr && adversary_->attack == c &&
+           adv_->is_compromised(node.id());
   }
   /// Prologue of both delivery paths: the freshness gate, then replay
   /// capture. False drops the frame before any handler runs. The tag

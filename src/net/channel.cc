@@ -1,5 +1,6 @@
 #include "net/channel.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -15,9 +16,14 @@ Channel::Channel(const Topology& topo, sim::Scheduler& sched, sim::Rng rng,
       config_(config),
       ctxs_(1),
       loss_seed_(rng.fork("loss")()),
-      tx_until_(topo.size(), sim::SimTime::zero()),
-      receptions_(topo.size()),
+      air_(topo.size(), Air{sim::SimTime::zero(), sim::SimTime::zero(), kNoClean, 0}),
+      link_flags_(topo.link_count(), 0),
+      flood_held_(topo.size(), 0),
       link_seen_(topo.link_count(), 0) {
+  static_assert(sizeof(Air) == 24);
+  if (topo.link_count() >= kNoClean / 2) {
+    throw std::invalid_argument("Channel: too many links");
+  }
   ctxs_[0].sched = &sched;
   ctxs_[0].metrics = &metrics;
 }
@@ -44,12 +50,35 @@ bool Channel::transmitting(NodeId node) const {
 }
 
 bool Channel::busy_at(NodeId node) const {
-  const sim::SimTime now = ctx_of(node).sched->now();
-  if (transmitting_at(node, now)) return true;
-  for (const auto& r : receptions_[node]) {
-    if (r.end > now) return true;
-  }
-  return false;
+  const Air& a = air_[node];
+  return std::max(a.tx_until, a.rx_until) > ctx_of(node).sched->now();
+}
+
+std::uint16_t Channel::open_flood(NodeId node) {
+  ShardCtx& ctx = ctx_of(node);
+  const auto shard = static_cast<std::uint32_t>(&ctx - ctxs_.data());
+  const std::uint64_t index =
+      shard + std::uint64_t{ctxs_.size()} * ctx.floods_opened;
+  if (index >= 0xFFFF) return 0;  // tag space spent: floods go untagged
+  ++ctx.floods_opened;
+  return static_cast<std::uint16_t>(index + 1);
+}
+
+void Channel::hold_flood(NodeId node, std::uint16_t tag) {
+  const std::uint32_t bit = tag - 1u - flood_base_;
+  if (tag != 0 && bit < 64) flood_held_[node] |= std::uint64_t{1} << bit;
+}
+
+void Channel::new_flood_window() {
+  // Align every shard's counter past the highest tag any shard issued,
+  // so the window's 64 bits cover the next tags of every shard and no
+  // tag is ever issued twice.
+  std::uint32_t opened = 0;
+  for (const ShardCtx& ctx : ctxs_) opened = std::max(opened, ctx.floods_opened);
+  for (ShardCtx& ctx : ctxs_) ctx.floods_opened = opened;
+  flood_base_ = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(std::uint64_t{ctxs_.size()} * opened, 0xFFFF));
+  std::fill(flood_held_.begin(), flood_held_.end(), 0);
 }
 
 bool Channel::keyed_loss(NodeId sender, NodeId receiver, const Frame& frame,
@@ -80,17 +109,17 @@ void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_don
     throw std::logic_error("Channel::transmit: called from inside a delivery pass");
   }
   const sim::SimTime now = ctx.sched->now();
+  Air& self = air_[sender];
+  // Take a slot of the sender's link bytes that no undelivered frame
+  // of it holds: slot 0 if free, else slot 1.
+  const auto slot = static_cast<std::uint8_t>(self.pending & 1U);
+  if (((self.pending >> slot) & 1U) != 0) {
+    throw std::logic_error(
+        "Channel::transmit: sender's frame before last not yet delivered");
+  }
   const sim::SimTime dur = airtime(frame);
   const sim::SimTime end = now + dur;
   const sim::SimTime arrive = end + sim::SimTime{config_.propagation_delay_s};
-  // Transmission ids are per-shard (high 16 bits tag the shard) so
-  // concurrent drains never contend on a shared counter; ids only need
-  // to be unique among in-flight transmissions, never dense.
-  const std::uint64_t tx_id =
-      (shard_of_ == nullptr
-           ? std::uint64_t{0}
-           : static_cast<std::uint64_t>(shard_of_[sender]) << 48) |
-      ctx.next_tx_id++;
 
   ctx.tx_frames.add(*ctx.metrics);
   ctx.tx_bytes.add(*ctx.metrics, frame.air_bytes());
@@ -100,26 +129,35 @@ void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_don
     tracer_->counter(sender, sim::TraceCounter::kTxBytes, frame.air_bytes(), now);
   }
 
-  tx_until_[sender] = std::max(tx_until_[sender], end);
+  self.tx_until = std::max(self.tx_until, end);
 
   // Taps see the caller's frame directly at start-of-frame.
   for (const auto& tap : taps_) tap(sender, frame);
 
   // Register the reception at every in-range node and detect overlap.
   const auto receivers = topo_.neighbors(sender);
-  for (const NodeId r : receivers) {
-    auto& rs = receptions_[r];
-    bool corrupted = false;
-    for (auto& other : rs) {
-      if (other.end > now) {
-        // Temporal overlap with a frame still on the air corrupts both
-        // at this receiver (no capture effect).
-        other.corrupted = true;
-        corrupted = true;
-      }
-    }
+  const auto first = static_cast<std::uint32_t>(topo_.first_link(sender));
+  const auto shift = static_cast<std::uint8_t>(2 * slot);
+  for (std::size_t k = 0; k < receivers.size(); ++k) {
+    Air& a = air_[receivers[k]];
+    const std::uint32_t link = first + static_cast<std::uint32_t>(k);
     // Half-duplex: a receiver mid-transmission cannot decode.
-    rs.push_back(Reception{tx_id, end, corrupted, transmitting_at(r, now)});
+    std::uint8_t flags = a.tx_until > now ? kRxWhileTx : 0;
+    if (a.rx_until > now) {
+      // Temporal overlap with a frame still on the air corrupts both
+      // at this receiver (no capture effect). Every other frame on the
+      // air there is corrupted already; only the clean one changes.
+      if (a.clean != kNoClean) {
+        link_flags_[a.clean >> 1] |= static_cast<std::uint8_t>(kCorrupted << 2 * (a.clean & 1));
+      }
+      a.clean = kNoClean;
+      flags |= kCorrupted;
+    } else {
+      a.clean = link << 1 | slot;
+    }
+    std::uint8_t& byte = link_flags_[link];
+    byte = static_cast<std::uint8_t>((byte & ~(kSlotMask << shift)) | flags << shift);
+    a.rx_until = std::max(a.rx_until, end);
   }
 
   // Border classification of the delivery pass (inert when unsharded):
@@ -147,23 +185,25 @@ void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_don
   // frame copy the receivers will read lives in a recycled pool slot
   // (no allocation once pools warm up).
   if (!receivers.empty()) {
-    std::uint32_t slot;
+    std::uint32_t pool_slot;
     if (!ctx.free_inflight.empty()) {
-      slot = ctx.free_inflight.back();
+      pool_slot = ctx.free_inflight.back();
       ctx.free_inflight.pop_back();
     } else {
-      slot = static_cast<std::uint32_t>(ctx.inflight.size());
+      pool_slot = static_cast<std::uint32_t>(ctx.inflight.size());
       ctx.inflight.emplace_back();
     }
-    ctx.inflight[slot] = frame;  // payload buffer capacity is reused
+    ctx.inflight[pool_slot] = frame;  // payload buffer capacity is reused
     ShardCtx* cp = &ctx;         // ctxs_ never reallocates after wiring
+    self.pending |= static_cast<std::uint8_t>(1U << slot);
     ctx.sched->at(
         arrive,
-        [this, sender, tx_id, slot, cp] {
+        [this, sender, pool_slot, cp, slot] {
           cp->delivering = true;
-          deliver(sender, tx_id, cp->inflight[slot], *cp);
+          deliver(sender, cp->inflight[pool_slot], slot, *cp);
           cp->delivering = false;
-          cp->free_inflight.push_back(slot);
+          cp->free_inflight.push_back(pool_slot);
+          air_[sender].pending &= static_cast<std::uint8_t>(~(1U << slot));
         },
         sender, border);
   }
@@ -177,7 +217,7 @@ void Channel::transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_don
   if (on_tx_done) ctx.sched->at(end, std::move(on_tx_done), sender);
 }
 
-void Channel::deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
+void Channel::deliver(NodeId sender, const Frame& frame, std::uint8_t slot,
                       ShardCtx& ctx) {
   const sim::SimTime now = ctx.sched->now();
   const bool traced = tracer_ && tracer_->enabled() && tracer_->config().rx_events;
@@ -186,21 +226,20 @@ void Channel::deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
   // CSR order. Only this pass writes them, and it runs on the sender's
   // shard drain (an interior sender's neighbours share its shard) or in
   // the serialized gate (a border sender), so shards never race on one.
+  // The same argument covers the link flag bytes read here: besides
+  // the sender, only the receiver's other neighbours write them (when
+  // their frame corrupts this one), and an interior neighbour of an
+  // interior receiver drains on this same shard.
   std::uint32_t* const seen = link_seen_.data() + topo_.first_link(sender);
+  const std::uint8_t* const flags = link_flags_.data() + topo_.first_link(sender);
   for (std::size_t k = 0; k < receivers.size(); ++k) {
     const NodeId r = receivers[k];
-    auto& rs = receptions_[r];
-    ReceptionStatus status = ReceptionStatus::kOk;
-    bool rx_while_tx = false;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (rs[i].tx_id != tx_id) continue;
-      if (rs[i].corrupted) status = ReceptionStatus::kCollided;
-      rx_while_tx = rs[i].rx_while_tx;
-      rs[i] = rs.back();  // swap-remove: the pool keeps its capacity
-      rs.pop_back();
-      break;
+    const unsigned f = flags[k] >> 2 * slot;
+    ReceptionStatus status =
+        (f & kCorrupted) != 0 ? ReceptionStatus::kCollided : ReceptionStatus::kOk;
+    if ((f & kRxWhileTx) != 0 || transmitting_at(r, now)) {
+      status = ReceptionStatus::kHalfDuplex;
     }
-    if (rx_while_tx || transmitting_at(r, now)) status = ReceptionStatus::kHalfDuplex;
     if (status == ReceptionStatus::kOk && keyed_loss(sender, r, frame, now)) {
       status = ReceptionStatus::kLost;
     }
@@ -238,12 +277,15 @@ void Channel::deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
       // honest — same accounting the Network's hook used to do). Only
       // intact frames reach the MAC, and of the ACKs only those
       // addressed to the receiver: an ACK for another node, counted
-      // above like any reception, would only be discarded there. A
+      // above like any reception, would only be discarded there. Nor
+      // does a copy of a flood the receiver holds: its MAC would pass
+      // the broadcast straight up, and its app would drop it unread. A
       // delivery hook still sees every reception with its status.
       if (!sink_alive_[r]) {
         ctx.rx_dead.add(*ctx.metrics);
       } else if (status == ReceptionStatus::kOk &&
-                 (frame.type != kMacAck || frame.dst == r)) {
+                 (frame.type != kMacAck || frame.dst == r) &&
+                 !holds_flood(r, frame)) {
         if (shard_of_ != nullptr) {
           // Under the serialized gate a foreign receiver's clock may
           // lag this event; catch it up so anything the reception

@@ -20,16 +20,35 @@
 //
 // Fan-out is copy-free (DESIGN.md §5f, §5i): transmit() keeps one
 // copy of the frame per transmission in a recycled pool slot, and
-// every receiver sees that same Frame by reference.
-// Per-receiver state is a 24-byte slot in a reusable per-node pool,
-// and all of a transmission's deliveries run from a single scheduler
-// event (they share the arrival instant, so consolidation is
-// observationally invisible).
+// every receiver sees that same Frame by reference. All of a
+// transmission's deliveries run from a single scheduler event (they
+// share the arrival instant, so consolidation is observationally
+// invisible).
 //
-// Sharded operation (set_shards): the physical state (tx_until_,
-// receptions_) stays in the single shared per-node arrays, but every
-// *acting* resource — scheduler, metric registry, in-flight frame
-// pool, tx-id space — is per shard, selected by the transmitting
+// Collision state is O(1) per receiver. Two frames overlapping at a
+// receiver corrupt each other, so at any instant a receiver has at
+// most ONE frame on the air that is still intact. Each node keeps its
+// carrier clocks plus the directed link of that one clean reception;
+// each directed link keeps one flag byte, in topology CSR order, with
+// two slots (corrupted, receiver was transmitting) for the sender's
+// undelivered frames. transmit() corrupts at most one earlier frame per
+// receiver, deliver() reads its slot, and busy_at() is one compare.
+// Two slots, because a frame may start before the sender's previous
+// one is delivered (the MAC does this: an ACK due one SIFS after a
+// reception can start inside a frame the node began in that SIFS, and
+// a backoff attempt can start right after an ACK ends). A third frame
+// before the first one's delivery pass is refused (see transmit()).
+//
+// Flood holds (DESIGN.md §5i): a protocol flood tags its broadcasts
+// (open_flood), and a node that has acted on a flood holds its tag
+// (hold_flood). deliver() still counts every physical reception, but
+// hands a held flood's copies to no MAC: the receiving app would drop
+// them unread.
+//
+// Sharded operation (set_shards): the physical state (per-node air
+// state, link bytes, flood holds) stays in single shared arrays, but
+// every *acting* resource — scheduler, metric registry, in-flight frame
+// pool, flood-tag counter — is per shard, selected by the transmitting
 // node's shard. Events that can touch another shard's per-node state
 // (a border node's delivery pass, or a delivery that will solicit an
 // ACK from a border receiver) are border-tagged so the engine routes
@@ -126,13 +145,39 @@ class Channel {
   /// happily create a collision if told to transmit into a busy
   /// medium. `on_tx_done` fires at end-of-frame at the sender; pass
   /// nullptr (ACKs, test rigs) and no end-of-frame event is scheduled
-  /// at all — carrier state lives in tx_until_, so the event exists
-  /// only to run the callback. Throws std::logic_error when called
-  /// from inside a delivery pass of the sender's shard (a delivery
-  /// hook or reception upcall transmitting synchronously): that pass
-  /// is reading a pool slot the new copy could move. Every MAC send
-  /// goes through a scheduled backoff/SIFS event instead.
+  /// at all — carrier state lives in the air state, so the event
+  /// exists only to run the callback. Throws std::logic_error
+  ///  * when called from inside a delivery pass of the sender's shard
+  ///    (a delivery hook or reception upcall transmitting
+  ///    synchronously): that pass is reading a pool slot the new copy
+  ///    could move. Every MAC send goes through a scheduled
+  ///    backoff/SIFS event instead;
+  ///  * when two frames of the sender still await their delivery
+  ///    pass: both link-byte slots are taken. The MAC never has a
+  ///    third frame on the way that early.
   void transmit(NodeId sender, const Frame& frame, sim::EventFn on_tx_done);
+
+  // ---- Flood holds ----------------------------------------------------
+  // A flood is one payload rebroadcast once by every node that accepts
+  // it. Tags are unique within the channel's lifetime (0 = untagged,
+  // also returned once the 16-bit space is spent); each node holds the
+  // tags of the current window — the first 64 issued since the last
+  // new_flood_window() — in one 64-bit word. A held tag means the
+  // node's app has already acted on the flood and drops every further
+  // copy unread, so deliver() stops those copies before the MAC. An
+  // untagged copy, or one outside the window, is delivered as usual.
+
+  /// Issue a tag for a flood `node` starts. Tags come from the node's
+  /// shard context in disjoint residue classes, so parallel drains
+  /// share no counter.
+  [[nodiscard]] std::uint16_t open_flood(NodeId node);
+  /// `node` has acted on flood `tag`: stop delivering its copies there.
+  void hold_flood(NodeId node, std::uint16_t tag);
+  /// Forget `node`'s holds (its app was replaced).
+  void clear_floods(NodeId node) { flood_held_[node] = 0; }
+  /// Start a new window: every node's holds are forgotten and the next
+  /// 64 tags issued are holdable. Only between runs (Network::attach_apps).
+  void new_flood_window();
 
   /// Installing a delivery hook clears any direct MAC sink: the hook
   /// takes over the reception path completely (tests and tools rely on
@@ -169,14 +214,15 @@ class Channel {
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
 
-  /// Heap bytes held by the physical state (per-node carrier clocks,
-  /// reception pools and per-link dedup slots) and the per-shard acting contexts (in-flight
-  /// frame pools). Capacity-based: reports the high-water pool sizes.
+  /// Heap bytes held by the physical state (per-node air state and
+  /// flood holds, per-link flag bytes and dedup slots) and the
+  /// per-shard acting contexts (in-flight frame pools). Capacity-based:
+  /// reports the high-water pool sizes.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    std::size_t bytes = tx_until_.capacity() * sizeof(sim::SimTime) +
-                        receptions_.capacity() * sizeof(std::vector<Reception>) +
+    std::size_t bytes = air_.capacity() * sizeof(Air) +
+                        flood_held_.capacity() * sizeof(std::uint64_t) +
+                        link_flags_.capacity() * sizeof(std::uint8_t) +
                         link_seen_.capacity() * sizeof(std::uint32_t);
-    for (const auto& pool : receptions_) bytes += pool.capacity() * sizeof(Reception);
     for (const ShardCtx& ctx : ctxs_) {
       bytes += ctx.inflight.capacity() * sizeof(Frame) +
                ctx.free_inflight.capacity() * sizeof(std::uint32_t);
@@ -186,19 +232,31 @@ class Channel {
   }
 
  private:
-  /// One in-flight frame at one receiver. An entry lives in the
-  /// receiver's slot pool from start-of-frame until the transmission's
-  /// delivery pass consumes it (the corrupted flag must survive that
-  /// whole window); slots are reclaimed by swap-removal, so a pool
-  /// never shrinks its capacity — steady state allocates nothing.
-  struct Reception {
-    std::uint64_t tx_id;
-    sim::SimTime end;
-    bool corrupted;
-    /// Half-duplex latch: the receiver was mid-transmission when this
-    /// frame started (checked again against `now` at delivery).
-    bool rx_while_tx;
+  /// Per-node air state (24 bytes).
+  struct Air {
+    /// End of the node's own latest transmission.
+    sim::SimTime tx_until;
+    /// Latest end of any frame registered at the node as a receiver.
+    sim::SimTime rx_until;
+    /// The one intact frame on the air at this node, as (directed link
+    /// CSR index << 1 | link-byte slot), kNoClean if none. Meaningful
+    /// only while rx_until is in the future: a clean frame is always
+    /// the latest one registered (a later overlapping frame corrupts it
+    /// and clears this), so its end IS rx_until.
+    std::uint32_t clean;
+    /// Bit s: link-byte slot s holds a frame of this node that awaits
+    /// its delivery pass.
+    std::uint8_t pending;
   };
+  static constexpr std::uint32_t kNoClean = 0xFFFFFFFF;
+  /// Per-slot link flag bits (slot s at bit 2s): status of one frame
+  /// of the sender at the link's receiver, written at start-of-frame
+  /// and read by that frame's delivery pass.
+  static constexpr std::uint8_t kCorrupted = 1;  ///< overlapped another frame
+  /// Half-duplex latch: the receiver was mid-transmission when this
+  /// frame started (checked again against `now` at delivery).
+  static constexpr std::uint8_t kRxWhileTx = 2;
+  static constexpr std::uint8_t kSlotMask = kCorrupted | kRxWhileTx;
 
   /// Everything a transmission *acts through*, one instance per shard
   /// (exactly one in single-shard operation, bound to the constructor's
@@ -214,8 +272,9 @@ class Channel {
     std::vector<Frame> inflight;
     std::vector<std::uint32_t> free_inflight;
     bool delivering = false;  ///< a delivery pass is reading `inflight`
-    /// Low 48 bits of this shard's next transmission id.
-    std::uint64_t next_tx_id = 0;
+    /// Floods this shard has tagged (open_flood): its k-th tag is
+    /// 1 + shard + shards * k.
+    std::uint32_t floods_opened = 0;
 
     /// Pre-bound counter handles (sim::MetricRegistry::Cell): deliver()
     /// touches one per receiver per frame, the single hottest metric
@@ -243,7 +302,14 @@ class Channel {
   /// clock may lag the acting event, so reading the remote scheduler
   /// would mis-evaluate carrier state.
   [[nodiscard]] bool transmitting_at(NodeId node, sim::SimTime now) const {
-    return tx_until_[node] > now;
+    return air_[node].tx_until > now;
+  }
+
+  /// Does `receiver` hold the flood `frame` belongs to?
+  [[nodiscard]] bool holds_flood(NodeId receiver, const Frame& frame) const {
+    if (frame.flood == 0 || !frame.is_broadcast()) return false;
+    const std::uint32_t bit = frame.flood - 1u - flood_base_;
+    return bit < 64 && ((flood_held_[receiver] >> bit) & 1U) != 0;
   }
 
   /// Stateless per-(frame, receiver) loss draw; see the header comment.
@@ -253,8 +319,8 @@ class Channel {
   /// Deliver one transmission to every in-range receiver, in neighbour
   /// (= ascending id) order — the same order the per-receiver events
   /// used to fire in, since they shared (arrival time, schedule order).
-  void deliver(NodeId sender, std::uint64_t tx_id, const Frame& frame,
-               ShardCtx& ctx);
+  /// `slot`: the frame's slot in the sender's link bytes.
+  void deliver(NodeId sender, const Frame& frame, std::uint8_t slot, ShardCtx& ctx);
 
   const Topology& topo_;
   sim::MetricRegistry& metrics_;
@@ -277,10 +343,15 @@ class Channel {
   /// engines and shard counts).
   std::uint64_t loss_seed_;
 
-  /// Per-node time until which the node is transmitting.
-  std::vector<sim::SimTime> tx_until_;
-  /// Per-node slot pools of in-flight receptions.
-  std::vector<std::vector<Reception>> receptions_;
+  /// Per-node air state (carrier clocks, clean reception).
+  std::vector<Air> air_;
+  /// Per-directed-link status of the sender's two latest frames, one
+  /// slot each (see Air::pending), in topology CSR order.
+  std::vector<std::uint8_t> link_flags_;
+  /// Per-node held flood tags: bit i = tag flood_base_ + 1 + i.
+  std::vector<std::uint64_t> flood_held_;
+  /// Index (tag - 1) of the current window's first tag.
+  std::uint32_t flood_base_ = 0;
   /// Unicast dedup state, one slot per directed link in topology CSR
   /// order (Topology::first_link): the highest data-frame sequence the
   /// receiver has taken from that sender, 0 = none. deliver() hands the

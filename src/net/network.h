@@ -153,9 +153,12 @@ class Network {
   /// they do not disturb protocol randomness.
   [[nodiscard]] sim::Rng& rng() { return rng_; }
 
-  /// Attach an App built per node. Factory receives the Node.
+  /// Attach an App built per node. Factory receives the Node. Opens a
+  /// new flood window (Channel::new_flood_window): the new apps start
+  /// with no holds.
   template <typename Factory>
   void attach_apps(Factory&& make_app) {
+    channel_->new_flood_window();
     for (auto& n : nodes_) n->attach_app(make_app(*n));
   }
 
@@ -179,7 +182,7 @@ class Network {
   struct Footprint {
     std::size_t topology = 0;    ///< positions + CSR adjacency
     std::size_t schedulers = 0;  ///< event slabs, all engines
-    std::size_t channel = 0;     ///< carrier clocks, reception + frame pools, link dedup
+    std::size_t channel = 0;     ///< air state, flood holds, link flags + dedup, frame pools
     std::size_t macs = 0;        ///< queues, callbacks
     std::size_t metrics = 0;     ///< all registries (main + per-shard)
     std::size_t plan = 0;        ///< shard partition arrays

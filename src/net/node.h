@@ -51,6 +51,14 @@ class App {
     (void)node;
     (void)frame;
   }
+
+  /// Frame types on_overhear acts on: bit t set = type t is overheard.
+  /// Types 64 and up are always overheard. Read once, when the app is
+  /// attached; an app that ignores a type entirely can clear its bit
+  /// and the node skips that upcall.
+  [[nodiscard]] virtual std::uint64_t overheard_types() const {
+    return ~std::uint64_t{0};
+  }
 };
 
 class Node {
@@ -81,8 +89,17 @@ class Node {
   [[nodiscard]] sim::SimTime now() const;
   sim::EventId schedule(sim::SimTime delay, sim::EventFn fn);
   void cancel(sim::EventId id);
-  void send(NodeId dst, FrameType type, Bytes payload);
-  void broadcast(FrameType type, Bytes payload);
+  void send(NodeId dst, FrameType type, Bytes payload) {
+    enqueue(dst, type, std::move(payload), 0);
+  }
+  /// `flood` tags the broadcast as a copy of that flood (see below).
+  void broadcast(FrameType type, Bytes payload, std::uint16_t flood = 0);
+  /// Floods (Channel::open_flood): a new tag for a flood this node
+  /// starts (0 when the tag space is spent), and this node's promise
+  /// that its app drops every further copy of flood `tag` unread, so
+  /// the channel need not deliver them here. Holds end with the app.
+  [[nodiscard]] std::uint16_t open_flood();
+  void hold_flood(std::uint16_t tag);
   /// Fail (on_send_failed) all queued frames to a neighbour this node
   /// has concluded is dead; see Mac::fail_queued_to.
   void purge_sends_to(NodeId dst);
@@ -91,11 +108,9 @@ class Node {
   [[nodiscard]] const Point& position() const;
 
   /// Replaces the App. Timers scheduled through this node before the
-  /// call never fire: their closures may point into the old App.
-  void attach_app(std::unique_ptr<App> app) {
-    ++app_generation_;
-    app_ = std::move(app);
-  }
+  /// call never fire: their closures may point into the old App, and
+  /// the node's flood holds are dropped: they were the old App's.
+  void attach_app(std::unique_ptr<App> app);
   [[nodiscard]] App* app() { return app_.get(); }
 
   // Network-internal dispatch.
@@ -103,7 +118,9 @@ class Node {
     if (app_ && alive_) app_->on_receive(*this, f);
   }
   void dispatch_overhear(const Frame& f) {
-    if (app_ && alive_) app_->on_overhear(*this, f);
+    if (app_ && alive_ && (f.type >= 64 || ((overheard_ >> f.type) & 1U) != 0)) {
+      app_->on_overhear(*this, f);
+    }
   }
   void dispatch_send_failed(const Frame& f) {
     if (app_ && alive_) app_->on_send_failed(*this, f);
@@ -117,7 +134,11 @@ class Node {
   /// Bumped by attach_app; a timer fires only in the generation that
   /// scheduled it.
   std::uint32_t app_generation_ = 0;
+  /// The App's overheard_types(), cached by attach_app.
+  std::uint64_t overheard_ = ~std::uint64_t{0};
   std::unique_ptr<App> app_;
+
+  void enqueue(NodeId dst, FrameType type, Bytes payload, std::uint16_t flood);
 };
 
 }  // namespace icpda::net

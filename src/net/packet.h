@@ -34,6 +34,12 @@ struct Frame {
   NodeId dst = kBroadcast;
   std::uint32_t seq = 0;
   FrameType type = 0;
+  /// Flood tag (Node::open_flood), 0 = untagged. Simulator metadata,
+  /// not air bytes: it names a flood whose identity the payload already
+  /// carries, so the channel can stop a copy at a receiver that holds
+  /// the flood (Channel::hold_flood) without waking its MAC and app.
+  /// Only broadcasts carry one.
+  std::uint16_t flood = 0;
   Bytes payload;
 
   [[nodiscard]] bool is_broadcast() const { return dst == kBroadcast; }
@@ -43,5 +49,9 @@ struct Frame {
     return kFrameOverheadBytes + payload.size();
   }
 };
+
+// The tag fills padding: a Frame stays small enough for the
+// MAC's deferred-ACK closure to fit sim::EventFn's inline buffer.
+static_assert(sizeof(Frame) == 40);
 
 }  // namespace icpda::net

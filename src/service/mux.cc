@@ -31,18 +31,18 @@ double finish_aggregate(AggregateKind kind, const proto::Aggregate& a) {
 
 core::IcpdaApp& QueryMux::instance(net::Node& node, ActiveQuery& query) {
   const std::uint32_t qid = query.config.query_id;
-  auto it = instances_.find(qid);
-  if (it == instances_.end()) {
-    Instance inst;
+  if (qid >= instances_.size()) instances_.resize(qid + 1);
+  Instance& inst = instances_[qid];
+  if (!inst.app) {
     inst.rng = std::make_unique<sim::Rng>(
         query_rng_seed(state_->seed, node.id(), qid));
     inst.app = std::make_unique<core::IcpdaApp>(
         query.config, state_->readings, state_->keys, &state_->no_attack,
         &query.outcome, /*adversary=*/nullptr, /*adv=*/nullptr, inst.rng.get());
-    it = instances_.emplace(qid, std::move(inst)).first;
+    ++instance_count_;
     node.metrics().add("service.instance_created");
   }
-  return *it->second.app;
+  return *inst.app;
 }
 
 core::IcpdaApp* QueryMux::route(net::Node& node, const net::Frame& frame) {

@@ -10,6 +10,9 @@
 // created lazily on first contact. Frames naming unknown or retired
 // queries are dropped before any decoder runs. The IcpdaApp handlers'
 // own query_id filter stays in place beneath this as defense in depth.
+// The mux sees only what the channel delivers: a copy of an alarm
+// flood this node already holds (Channel::hold_flood) never reaches
+// it, so `service.frame_retired_query` does not count those copies.
 //
 // Lifetime: protocol code schedules timers capturing raw `this`, so a
 // per-query instance is NEVER destroyed while the simulation can still
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/icpda.h"
 #include "service/query.h"
@@ -84,10 +88,9 @@ class QueryMux final : public net::App {
   void launch(net::Node& node, ActiveQuery& query);
 
   /// Instances created on this node so far (introspection for tests).
-  [[nodiscard]] std::size_t instance_count() const { return instances_.size(); }
+  [[nodiscard]] std::size_t instance_count() const { return instance_count_; }
   [[nodiscard]] core::IcpdaApp* instance_for(std::uint32_t query_id) {
-    const auto it = instances_.find(query_id);
-    return it == instances_.end() ? nullptr : it->second.app.get();
+    return query_id < instances_.size() ? instances_[query_id].app.get() : nullptr;
   }
 
  private:
@@ -102,7 +105,11 @@ class QueryMux final : public net::App {
   core::IcpdaApp* route(net::Node& node, const net::Frame& frame);
 
   ServiceState* state_;
-  std::map<std::uint32_t, Instance> instances_;
+  /// Indexed by query id (the Dispatcher numbers queries densely from
+  /// 1); an empty slot has no app. Only ids route() has found in the
+  /// service state ever size it, never an id peeked off the wire.
+  std::vector<Instance> instances_;
+  std::size_t instance_count_ = 0;
 };
 
 }  // namespace icpda::service

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/channel.h"
 #include "net/network.h"
+#include "sim/rng.h"
 
 namespace icpda::net {
 namespace {
@@ -213,6 +217,238 @@ TEST(ChannelFanoutTest, TransmitFromInsideADeliveryPassThrows) {
     channel.transmit(4, make_frame(4, 1, 16), nullptr);
   });
   EXPECT_THROW(network.scheduler().run(), std::logic_error);
+}
+
+TEST(ChannelFanoutTest, TransmitWhileOwnDeliveryPendingThrows) {
+  // A link byte holds two frames per sender: the second frame may start
+  // while the first is on the air (or just off it, undelivered), but a
+  // third would overwrite a status no delivery pass has read yet.
+  Rig rig(clique_topology());
+  auto& channel = rig.network.channel();
+  auto& sched = rig.network.scheduler();
+  bool threw = false;
+  sched.after(sim::seconds(0.001), [&] {
+    channel.transmit(4, make_frame(4, 1, 64), nullptr);
+    channel.transmit(4, make_frame(4, 2, 16), nullptr);
+    try {
+      channel.transmit(4, make_frame(4, 3, 16), nullptr);
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  // Once both are delivered the sender may transmit again.
+  sched.after(sim::seconds(0.01), [&] { channel.transmit(4, make_frame(4, 4, 16), nullptr); });
+  sched.run();
+  EXPECT_TRUE(threw);
+  // The two overlapping frames corrupt each other everywhere; the
+  // refused one never reached the air; the late one is intact.
+  ASSERT_EQ(rig.deliveries.size(), 24u);
+  for (const auto& d : rig.deliveries) {
+    EXPECT_NE(d.seq, 3u);
+    EXPECT_EQ(d.status, d.seq == 4 ? ReceptionStatus::kOk : ReceptionStatus::kCollided);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Randomized differential: the O(1) link-slot collision state against
+// a copy of the model it replaced, where every receiver keeps a list
+// of its in-flight receptions and every transmission scans and marks
+// that whole list.
+
+/// The reception-list model. transmit() and deliver() are driven from
+/// inside the real channel's events, so both see the same event order.
+class ReceptionListModel {
+ public:
+  explicit ReceptionListModel(const Topology& topo)
+      : topo_(topo), tx_until_(topo.size()), receptions_(topo.size()) {}
+
+  void transmit(std::uint32_t id, NodeId sender, sim::SimTime now, sim::SimTime dur) {
+    const sim::SimTime end = now + dur;
+    tx_until_[sender] = std::max(tx_until_[sender], end);
+    for (const NodeId r : topo_.neighbors(sender)) {
+      bool corrupted = false;
+      for (auto& other : receptions_[r]) {
+        if (other.end > now) {
+          other.corrupted = true;
+          corrupted = true;
+        }
+      }
+      receptions_[r].push_back({id, end, corrupted, tx_until_[r] > now});
+    }
+  }
+
+  ReceptionStatus deliver(std::uint32_t id, NodeId receiver, sim::SimTime now) {
+    auto& rs = receptions_[receiver];
+    const auto it = std::find_if(rs.begin(), rs.end(),
+                                 [id](const Reception& x) { return x.id == id; });
+    EXPECT_NE(it, rs.end()) << "no reception of frame " << id << " at " << receiver;
+    if (it == rs.end()) return ReceptionStatus::kLost;
+    ReceptionStatus status = it->corrupted ? ReceptionStatus::kCollided : ReceptionStatus::kOk;
+    if (it->rx_while_tx || tx_until_[receiver] > now) status = ReceptionStatus::kHalfDuplex;
+    rs.erase(it);
+    return status;
+  }
+
+  [[nodiscard]] bool busy_at(NodeId node, sim::SimTime now) const {
+    if (tx_until_[node] > now) return true;
+    return std::any_of(receptions_[node].begin(), receptions_[node].end(),
+                       [now](const Reception& x) { return x.end > now; });
+  }
+
+ private:
+  struct Reception {
+    std::uint32_t id;
+    sim::SimTime end;
+    bool corrupted;
+    bool rx_while_tx;
+  };
+  const Topology& topo_;
+  std::vector<sim::SimTime> tx_until_;
+  std::vector<std::vector<Reception>> receptions_;
+};
+
+/// Eight nodes 20 m apart on a line, range 45 m: each hears two hops
+/// either way, so hidden terminals abound.
+Topology line8_topology() {
+  std::vector<Point> pts;
+  for (int i = 0; i < 8; ++i) pts.push_back({20.0 * i, 0.0});
+  return Topology{std::move(pts), 45.0};
+}
+
+struct PlannedTx {
+  NodeId sender;
+  sim::SimTime start;
+  std::size_t payload;
+};
+
+/// Random transmissions, biased towards the model's corner cases:
+/// same-instant starts, a start exactly at another frame's end, and a
+/// start exactly at another frame's delivery instant. A sender never
+/// has a third frame on the way before its first is delivered (the
+/// channel refuses that), but does start frames inside its own.
+std::vector<PlannedTx> plan_transmissions(const Channel& channel, std::size_t nodes,
+                                          std::uint64_t seed) {
+  sim::Rng rng(seed);
+  const sim::SimTime prop{channel.config().propagation_delay_s};
+  const auto airtime = [&](std::size_t payload) {
+    return channel.airtime_bytes(payload + kFrameOverheadBytes);
+  };
+  std::vector<PlannedTx> txs;
+  for (int i = 0; i < 160; ++i) {
+    PlannedTx tx{static_cast<NodeId>(rng.below(nodes)), {}, rng.below(120)};
+    const double kind = rng.uniform(0.0, 1.0);
+    if (txs.empty() || kind < 0.4) {
+      tx.start = sim::seconds(0.001 + rng.uniform(0.0, 0.05));
+    } else {
+      const PlannedTx& other = txs[rng.below(txs.size())];
+      if (kind < 0.6) {
+        tx.start = other.start;
+      } else if (kind < 0.85) {
+        tx.start = other.start + airtime(other.payload);
+      } else {
+        tx.start = other.start + airtime(other.payload) + prop;
+      }
+    }
+    txs.push_back(tx);
+  }
+  std::stable_sort(txs.begin(), txs.end(),
+                   [](const PlannedTx& a, const PlannedTx& b) { return a.start < b.start; });
+  // Keep a transmission only while at most one earlier frame of its
+  // sender can still be undelivered at its start (ties count as
+  // undelivered: the delivery event may run after the transmission).
+  std::vector<PlannedTx> kept;
+  for (const PlannedTx& tx : txs) {
+    int undelivered = 0;
+    for (const PlannedTx& k : kept) {
+      if (k.sender == tx.sender && k.start + airtime(k.payload) + prop >= tx.start) {
+        ++undelivered;
+      }
+    }
+    if (undelivered <= 1) kept.push_back(tx);
+  }
+  return kept;
+}
+
+struct DifferentialResult {
+  /// (frame index, receiver) -> status
+  std::map<std::pair<std::uint32_t, NodeId>, ReceptionStatus> status;
+  int busy_mismatches = 0;
+};
+
+/// Run `txs` through a real channel (delivery hook) and the reference
+/// model side by side; every (frame, receiver) status must agree.
+DifferentialResult run_differential(const Topology& topo, const std::vector<PlannedTx>& txs) {
+  Network network(topo, NetworkConfig{});
+  ReceptionListModel model(network.topology());
+  DifferentialResult out;
+  auto& sched = network.scheduler();
+  auto& channel = network.channel();
+  channel.set_delivery([&](NodeId r, const Frame& f, ReceptionStatus st) {
+    const ReceptionStatus want = model.deliver(f.seq, r, sched.now());
+    EXPECT_EQ(st, want) << "frame " << f.seq << " from " << f.src << " at " << r;
+    EXPECT_TRUE(out.status.emplace(std::make_pair(f.seq, r), st).second)
+        << "frame " << f.seq << " delivered twice at " << r;
+  });
+  for (std::uint32_t i = 0; i < txs.size(); ++i) {
+    sched.at(txs[i].start, [&, i] {
+      const Frame f = make_frame(txs[i].sender, i, txs[i].payload);
+      model.transmit(i, f.src, sched.now(), channel.airtime(f));
+      channel.transmit(f.src, f, nullptr);
+      for (NodeId n = 0; n < topo.size(); ++n) {
+        if (channel.busy_at(n) != model.busy_at(n, sched.now())) ++out.busy_mismatches;
+      }
+    });
+  }
+  sched.run();
+  std::size_t expected = 0;
+  for (const PlannedTx& tx : txs) expected += topo.degree(tx.sender);
+  EXPECT_EQ(out.status.size(), expected);
+  return out;
+}
+
+TEST(ChannelFanoutTest, LinkSlotStateMatchesReceptionListModel) {
+  const std::vector<std::pair<const char*, Topology>> topologies = {
+      {"clique", clique_topology()}, {"line", line8_topology()}};
+  std::map<ReceptionStatus, int> seen;
+  for (const auto& [name, topo] : topologies) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      Network probe(topo, NetworkConfig{});
+      const auto txs = plan_transmissions(probe.channel(), topo.size(), seed);
+      const auto diff = run_differential(topo, txs);
+      EXPECT_EQ(diff.busy_mismatches, 0);
+      for (const auto& [key, st] : diff.status) ++seen[st];
+
+      // The production wiring (MAC sink) with dead receivers: the same
+      // statuses, counted per receiver, plus rx_dead for the dead.
+      // Broadcasts only, and no apps, so no MAC answers anything.
+      Network sinked(topo, NetworkConfig{});
+      const std::vector<NodeId> dead = {2, 5};
+      for (const NodeId d : dead) sinked.set_node_down(d);
+      for (std::uint32_t i = 0; i < txs.size(); ++i) {
+        sinked.scheduler().at(txs[i].start, [&sinked, &txs, i] {
+          sinked.channel().transmit(txs[i].sender,
+                                    make_frame(txs[i].sender, i, txs[i].payload), nullptr);
+        });
+      }
+      sinked.scheduler().run();
+      std::map<ReceptionStatus, std::uint64_t> counts;
+      std::uint64_t dead_rx = 0;
+      for (const auto& [key, st] : diff.status) {
+        ++counts[st];
+        if (std::find(dead.begin(), dead.end(), key.second) != dead.end()) ++dead_rx;
+      }
+      const auto& m = sinked.metrics();
+      EXPECT_EQ(m.counter("channel.rx_ok"), counts[ReceptionStatus::kOk]);
+      EXPECT_EQ(m.counter("channel.rx_collided"), counts[ReceptionStatus::kCollided]);
+      EXPECT_EQ(m.counter("channel.rx_halfduplex"), counts[ReceptionStatus::kHalfDuplex]);
+      EXPECT_EQ(m.counter("channel.rx_dead"), dead_rx);
+    }
+  }
+  // The corpus really exercises every status.
+  EXPECT_GT(seen[ReceptionStatus::kOk], 0);
+  EXPECT_GT(seen[ReceptionStatus::kCollided], 0);
+  EXPECT_GT(seen[ReceptionStatus::kHalfDuplex], 0);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ cd "$repo_root"
 jobs="$(nproc 2>/dev/null || echo 4)"
 lanes="${ICPDA_SAN_LANES:-asan ubsan tsan}"
 
-filter="${1:-FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
+filter="${1:-FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|ChannelFanoutTest|FloodHoldTest|OverhearMaskTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
 
 case " $lanes " in *" asan "*)
   echo "== asan (address+undefined) =="
@@ -44,7 +44,7 @@ esac
 
 case " $lanes " in *" tsan "*)
   echo "== tsan (sharded-engine concurrency) =="
-  tsan_filter="ShardDeterminismTest|ShardLookaheadTest|SchedulerTest"
+  tsan_filter="ShardDeterminismTest|ShardLookaheadTest|SchedulerTest|FloodHoldTest.ShardedFloods"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   # The lookahead sweep's default 5000 cases is sized for native

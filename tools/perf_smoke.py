@@ -13,6 +13,13 @@ of deltas): CI runners have noisy clocks, so timing regressions are
 flagged for a human, not gated. Pass --max-regress PCT to turn it
 into a gate locally.
 
+Every baseline carries the fingerprint of the host that recorded it:
+google-benchmark's CPU count and MHz, the CPU model and the build type
+of the measured binary. A baseline whose fingerprint is missing or
+differs from the current run's is refused (exit code 2, as
+perfbench/compare.py does): kernel timings from different hosts or
+builds do not compare.
+
 Improvements beyond 10x are also flagged as suspicious: a kernel that
 suddenly runs in a tenth of its baseline usually means the compiler
 eliminated the measured work (a DoNotOptimize went missing) or the
@@ -24,7 +31,10 @@ change (--update requires exactly one --baseline and writes only the
 kernels the filter matched):
 
     python3 tools/perf_smoke.py --bench build/bench/bench_micro \
-        --baseline BENCH_PR8.json --big-n --update
+        --baseline BENCH_PR8.json --big-n --update \
+        --filter 'BM_Scheduler|BM_ChannelBroadcastFanout|BM_IcpdaEpoch/|BM_TopologyBuild|BM_ServicePipeline|BM_MakeShares|BM_SolveClusterSum|BM_SealOpen|BM_Prf64|BM_LinkKeyBatch'
+    python3 tools/perf_smoke.py --bench build/bench/bench_micro \
+        --baseline BENCH_PR10.json --update --filter BM_IcpdaEpochSharded
 
 --big-n sets ICPDA_BIG_N=1 so the expensive T3 scaling points
 (BM_IcpdaEpoch/3000..5000, single-iteration) are registered too.
@@ -32,6 +42,7 @@ kernels the filter matched):
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -51,6 +62,43 @@ DEFAULT_BASELINES = ["BENCH_PR8.json", "BENCH_PR10.json"]
 SUSPICIOUS_SPEEDUP = 10.0
 
 
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def build_type(bench):
+    """CMAKE_BUILD_TYPE of the build tree holding the bench binary."""
+    path = os.path.dirname(os.path.abspath(bench))
+    while True:
+        cache = os.path.join(path, "CMakeCache.txt")
+        if os.path.exists(cache):
+            with open(cache, encoding="utf-8") as fh:
+                for line in fh:
+                    if line.startswith("CMAKE_BUILD_TYPE:"):
+                        return line.split("=", 1)[1].strip() or "unknown"
+            return "unknown"
+        parent = os.path.dirname(path)
+        if parent == path:
+            return "unknown"
+        path = parent
+
+
+def host_fingerprint(bench, context):
+    return {
+        "num_cpus": context.get("num_cpus"),
+        "mhz_per_cpu": context.get("mhz_per_cpu"),
+        "cpu": cpu_model(),
+        "build_type": build_type(bench),
+    }
+
+
 def run_bench(bench, bench_filter, big_n):
     env = dict(os.environ)
     if big_n:
@@ -59,8 +107,9 @@ def run_bench(bench, bench_filter, big_n):
         [bench, f"--benchmark_filter={bench_filter}",
          "--benchmark_format=json"],
         check=True, capture_output=True, text=True, env=env)
+    doc = json.loads(out.stdout)
     results = {}
-    for b in json.loads(out.stdout)["benchmarks"]:
+    for b in doc["benchmarks"]:
         if b.get("run_type") == "aggregate":
             continue
         entry = {
@@ -74,7 +123,7 @@ def run_bench(bench, bench_filter, big_n):
         if "parallel_fraction" in b:
             entry["parallel_fraction"] = b["parallel_fraction"]
         results[b["name"]] = entry
-    return results
+    return results, host_fingerprint(bench, doc["context"])
 
 
 def main():
@@ -95,7 +144,7 @@ def main():
     args = ap.parse_args()
     baselines = args.baseline or DEFAULT_BASELINES
 
-    current = run_bench(args.bench, args.filter, args.big_n)
+    current, host = run_bench(args.bench, args.filter, args.big_n)
     if not current:
         sys.exit("perf_smoke: benchmark filter matched nothing")
 
@@ -107,6 +156,7 @@ def main():
             "note": ("Hot-kernel baseline; regenerate with "
                      "tools/perf_smoke.py --update on a quiet machine "
                      "and review the diff"),
+            "host": host,
             "benchmarks": current,
         }
         with open(baselines[0], "w", encoding="utf-8") as fh:
@@ -119,12 +169,20 @@ def main():
     source = {}  # kernel name -> baseline file it was loaded from
     for path in baselines:
         with open(path, encoding="utf-8") as fh:
-            for name, entry in json.load(fh)["benchmarks"].items():
-                if name in baseline:
-                    sys.exit(f"perf_smoke: kernel {name} appears in both "
-                             f"{source[name]} and {path}")
-                baseline[name] = entry
-                source[name] = path
+            doc = json.load(fh)
+        if doc.get("host") != host:
+            print(f"perf_smoke: refusing to compare against {path}: it was "
+                  "recorded on a different host or build", file=sys.stderr)
+            print(f"  {path}: {json.dumps(doc.get('host'), sort_keys=True)}",
+                  file=sys.stderr)
+            print(f"  this run: {json.dumps(host, sort_keys=True)}", file=sys.stderr)
+            sys.exit(2)
+        for name, entry in doc["benchmarks"].items():
+            if name in baseline:
+                sys.exit(f"perf_smoke: kernel {name} appears in both "
+                         f"{source[name]} and {path}")
+            baseline[name] = entry
+            source[name] = path
 
     worst = 0.0
     suspicious = []
