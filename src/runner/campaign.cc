@@ -1,5 +1,6 @@
 #include "runner/campaign.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -34,14 +35,19 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     return 1;
   }
   const std::size_t grid = campaign.sweep.point_count();
-  std::vector<std::size_t> selected = options.points;
-  if (selected.empty()) {
+  if (!options.points.empty() && options.points.back().last >= grid) {
+    std::fprintf(stderr, "campaign '%s': --points index %zu out of range (grid has %zu points)\n",
+                 campaign.name.c_str(), options.points.back().last, grid);
+    return 1;
+  }
+  std::vector<std::size_t> selected;
+  if (options.points.empty()) {
     selected.resize(grid);
     for (std::size_t i = 0; i < grid; ++i) selected[i] = i;
-  } else if (selected.back() >= grid) {
-    std::fprintf(stderr, "campaign '%s': --points index %zu out of range (grid has %zu points)\n",
-                 campaign.name.c_str(), selected.back(), grid);
-    return 1;
+  } else {
+    for (const PointRange& r : options.points) {
+      for (std::size_t p = r.first; p <= r.last; ++p) selected.push_back(p);
+    }
   }
   const int trials = options.trials > 0 ? options.trials : campaign.trials;
   if (trials <= 0) {
@@ -68,10 +74,14 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   // below can walk them in declaration order.
   std::vector<sim::MetricRegistry> results(cells);
 
+  // No more workers than cells: a 2-cell campaign never starts 64.
+  const unsigned workers =
+      static_cast<unsigned>(std::min<std::size_t>(options.threads, cells));
   try {
-    if (options.threads <= 1) {
+    if (workers <= 1) {
       // Sequential path: no pool, same cell order and (crucially) the
-      // same trial-ordered reduction as the parallel path.
+      // same trial-ordered reduction as the parallel path. Rows stream
+      // to the sink as each point completes.
       std::size_t slot = 0;
       for (const std::size_t p : selected) {
         const Point point = campaign.sweep.point(p);
@@ -88,23 +98,26 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
         sink.write(row);
       }
     } else {
-      ThreadPool pool(options.threads);
-      std::vector<std::future<void>> futures;
-      futures.reserve(cells);
-      std::size_t slot = 0;
-      for (const std::size_t p : selected) {
-        for (int t = 0; t < trials; ++t, ++slot) {
-          futures.push_back(pool.submit([&campaign, &progress, &results, &options, p,
-                                         t, slot] {
-            const Point point = campaign.sweep.point(p);
-            run_cell(campaign, options, point, t, results[slot]);
-            progress.tick();
-          }));
-        }
+      // Heaviest first: cells are submitted in descending slot order,
+      // so the last declared point's trials start first. Size and load
+      // axes are declared ascending, so the costliest cells no longer
+      // run alone at the end of the campaign while the other workers
+      // idle. Seeds and the reduction below do not depend on this
+      // order; the price is that point 0 finishes last, so rows reach
+      // the sink together near the end.
+      ThreadPool pool(workers);
+      std::vector<std::future<void>> futures(cells);
+      for (std::size_t slot = cells; slot-- > 0;) {
+        const std::size_t p = selected[slot / static_cast<std::size_t>(trials)];
+        const int t = static_cast<int>(slot % static_cast<std::size_t>(trials));
+        futures[slot] = pool.submit([&campaign, &progress, &results, &options, p, t, slot] {
+          const Point point = campaign.sweep.point(p);
+          run_cell(campaign, options, point, t, results[slot]);
+          progress.tick();
+        });
       }
-      // Emit rows in point order as each point's trials complete;
-      // later cells keep executing on the pool meanwhile.
-      slot = 0;
+      // Emit rows in point order as each point's trials complete.
+      std::size_t slot = 0;
       for (const std::size_t p : selected) {
         const Point point = campaign.sweep.point(p);
         PointSummary summary;
@@ -124,7 +137,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     return 1;
   }
 
-  progress.finish(options.threads);
+  progress.finish(std::max(workers, 1u));
   return 0;
 }
 
@@ -142,9 +155,9 @@ int bench_main(std::span<const Campaign> campaigns, int argc, char** argv) {
   }
   std::size_t rows = 0;
   for (const Campaign& campaign : campaigns) rows += campaign.sweep.point_count();
-  if (!options.points.empty() && options.points.back() >= rows) {
+  if (!options.points.empty() && options.points.back().last >= rows) {
     std::fprintf(stderr, "%s: --points index %zu out of range (%zu rows)\n", argv[0],
-                 options.points.back(), rows);
+                 options.points.back().last, rows);
     return 1;
   }
   try {
@@ -157,8 +170,10 @@ int bench_main(std::span<const Campaign> campaigns, int argc, char** argv) {
       const std::size_t grid = campaign.sweep.point_count();
       RunnerOptions own = options;
       own.points.clear();
-      for (const std::size_t p : options.points) {
-        if (p >= first && p < first + grid) own.points.push_back(p - first);
+      for (const PointRange& r : options.points) {
+        if (r.last < first || r.first >= first + grid) continue;
+        own.points.push_back({std::max(r.first, first) - first,
+                              std::min(r.last, first + grid - 1) - first});
       }
       first += grid;
       if (own.points.empty() && !options.points.empty()) continue;  // none selected here

@@ -18,8 +18,15 @@
 //  * therefore the emitted rows are byte-for-byte identical at every
 //    --threads value, and a --points subset reproduces exactly the
 //    rows the full grid would emit for those points.
-// Rows stream to the sink as soon as a point's trials complete (in
-// point order), so long campaigns can be tail-followed.
+// Scheduling: with one worker (--threads<=1, or a single cell) cells
+// run in declaration order and each row streams to the sink as soon as
+// its point completes, so the campaign can be tail-followed. On the
+// pool, cells are dispatched heaviest first — in descending slot
+// order, so the last declared point's trials start first, because size
+// and load axes are declared ascending — and the pool has no more
+// workers than cells. Point 0 then finishes last, so a pooled run's
+// rows reach the sink together near the end; progress still goes to
+// stderr as cells finish.
 #pragma once
 
 #include <cstdint>

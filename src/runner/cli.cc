@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "runner/thread_pool.h"
 
@@ -44,9 +45,18 @@ bool take_value_flag(int argc, char** argv, int& i, const char* flag,
   return false;
 }
 
+/// --threads / ICPDA_THREADS: 0 means all hardware threads; a value
+/// that does not fit `unsigned` is refused rather than wrapped.
+bool parse_threads(const std::string& s, unsigned& out) {
+  unsigned long long t = 0;
+  if (!parse_uint(s, t) || t > std::numeric_limits<unsigned>::max()) return false;
+  out = t == 0 ? ThreadPool::default_threads() : static_cast<unsigned>(t);
+  return true;
+}
+
 }  // namespace
 
-bool parse_point_spec(const std::string& spec, std::vector<std::size_t>& out) {
+bool parse_point_spec(const std::string& spec, std::vector<PointRange>& out) {
   out.clear();
   std::size_t pos = 0;
   while (pos <= spec.size()) {
@@ -63,13 +73,23 @@ bool parse_point_spec(const std::string& spec, std::vector<std::size_t>& out) {
         return false;
       }
     }
-    for (unsigned long long p = lo; p <= hi; ++p) out.push_back(static_cast<std::size_t>(p));
+    if (hi > std::numeric_limits<std::size_t>::max()) return false;
+    out.push_back({static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)});
     if (comma == spec.size()) break;
     pos = comma + 1;
   }
-  if (out.empty()) return false;
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::size_t kept = 0;
+  for (const PointRange& r : out) {
+    // Sorted by first, so r.first >= the kept range's first; the
+    // difference form cannot overflow at SIZE_MAX.
+    if (kept > 0 && (r.first <= out[kept - 1].last || r.first - out[kept - 1].last == 1)) {
+      out[kept - 1].last = std::max(out[kept - 1].last, r.last);
+    } else {
+      out[kept++] = r;
+    }
+  }
+  out.resize(kept);
   return true;
 }
 
@@ -77,13 +97,11 @@ bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error
   // Reject garbage in the environment loudly: a typo'd count silently
   // replaced by a default would invalidate every number downstream.
   if (const char* env = std::getenv("ICPDA_THREADS")) {
-    unsigned long long t = 0;
-    if (!parse_uint(env, t)) {
-      error = std::string("ICPDA_THREADS: expected a non-negative integer, got '") +
+    if (!parse_threads(env, options.threads)) {
+      error = std::string("ICPDA_THREADS: expected a non-negative integer below 2^32, got '") +
               env + "'";
       return false;
     }
-    options.threads = t == 0 ? ThreadPool::default_threads() : static_cast<unsigned>(t);
   }
   if (const char* env = std::getenv("ICPDA_SHARDS")) {
     unsigned long long s = 0;
@@ -109,13 +127,11 @@ bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error
       continue;
     }
     if (take_value_flag(argc, argv, i, "--threads", value, error)) {
-      unsigned long long t = 0;
       if (!error.empty()) return false;
-      if (!parse_uint(value, t)) {
-        error = "--threads: expected a non-negative integer, got '" + value + "'";
+      if (!parse_threads(value, options.threads)) {
+        error = "--threads: expected a non-negative integer below 2^32, got '" + value + "'";
         return false;
       }
-      options.threads = t == 0 ? ThreadPool::default_threads() : static_cast<unsigned>(t);
       continue;
     }
     if (take_value_flag(argc, argv, i, "--shards", value, error)) {
@@ -131,8 +147,9 @@ bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error
     if (take_value_flag(argc, argv, i, "--trials", value, error)) {
       unsigned long long t = 0;
       if (!error.empty()) return false;
-      if (!parse_uint(value, t) || t == 0) {
-        error = "--trials: expected a positive integer, got '" + value + "'";
+      if (!parse_uint(value, t) || t == 0 ||
+          t > static_cast<unsigned long long>(std::numeric_limits<int>::max())) {
+        error = "--trials: expected a positive integer below 2^31, got '" + value + "'";
         return false;
       }
       options.trials = static_cast<int>(t);

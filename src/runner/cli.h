@@ -20,11 +20,21 @@
 //   --help        print usage and exit 0.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 namespace icpda::runner {
+
+/// One inclusive range of flat grid indices from a --points spec.
+/// Specs stay ranges until the grid size is known, so an out-of-grid
+/// range is refused before anything is expanded.
+struct PointRange {
+  std::size_t first = 0;
+  std::size_t last = 0;
+  auto operator<=>(const PointRange&) const = default;
+};
 
 struct RunnerOptions {
   unsigned threads = 1;
@@ -34,7 +44,7 @@ struct RunnerOptions {
   /// — that is what tests/shard_determinism_test.cc pins.
   std::size_t shards = 1;
   int trials = 0;                    // 0 = use the campaign's default
-  std::vector<std::size_t> points;   // empty = whole grid
+  std::vector<PointRange> points;    // sorted, disjoint; empty = whole grid
   std::string out;                   // empty = stdout
   bool trace = false;
   bool progress = true;
@@ -42,7 +52,8 @@ struct RunnerOptions {
 };
 
 /// Parse argv (and ICPDA_THREADS / ICPDA_SHARDS) into `options`.
-/// Returns false and fills `error` on a malformed flag or variable;
+/// Returns false and fills `error` on a malformed flag or variable,
+/// including a count too large for its field (no silent wrap);
 /// `options.help` is set (and true returned) for --help. Unknown flags
 /// are errors — a typo'd axis restriction must not silently run the
 /// full grid.
@@ -55,8 +66,9 @@ bool parse_uint(const std::string& s, unsigned long long& out);
 /// Usage text for --help / parse errors (writes to stderr).
 void print_usage(const char* argv0);
 
-/// Parse a "--points" spec ("0,3,7", "2-5", "0,4-6") into sorted,
-/// deduplicated indices; returns false on malformed input.
-bool parse_point_spec(const std::string& spec, std::vector<std::size_t>& out);
+/// Parse a "--points" spec ("0,3,7", "2-5", "0,4-6") into sorted
+/// ranges, overlapping and adjacent ones merged; returns false on
+/// malformed input.
+bool parse_point_spec(const std::string& spec, std::vector<PointRange>& out);
 
 }  // namespace icpda::runner

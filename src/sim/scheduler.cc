@@ -54,6 +54,12 @@ Scheduler::Scheduler(std::shared_ptr<CreatorCounters> counters)
 }
 
 EventId Scheduler::at(SimTime t, EventFn fn, std::uint32_t owner, bool border) {
+  // NaN compares false with everything, so `t < now_` alone would let
+  // it in; once it fired, now() would be NaN and no later time could
+  // be refused. Infinity is only ever a run horizon, never a fire time.
+  if (!t.is_finite()) {
+    throw std::invalid_argument("Scheduler::at: time is not finite");
+  }
   if (t < now_) {
     throw std::invalid_argument("Scheduler::at: time is in the past");
   }

@@ -12,7 +12,9 @@
 #      conservative-PDES worker drains (net/shard_engine.cc) run
 #      concurrent Scheduler::run_before on a shared Channel, and the
 #      determinism tests alone cannot see a torn read that happens to
-#      produce the right bytes.
+#      produce the right bytes. The campaign pool's suites run too:
+#      its cells run concurrently in descending slot order while the
+#      caller reduces and emits rows in point order.
 #
 # Usage: tests/run_sanitized.sh [extra ctest -R regex]
 #
@@ -44,7 +46,7 @@ esac
 
 case " $lanes " in *" tsan "*)
   echo "== tsan (sharded-engine concurrency) =="
-  tsan_filter="ShardDeterminismTest|ShardLookaheadTest|SchedulerTest|FloodHoldTest.ShardedFloods"
+  tsan_filter="ShardDeterminismTest|ShardLookaheadTest|SchedulerTest|FloodHoldTest.ShardedFloods|CampaignTest|ThreadPoolTest|BenchMainTest"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   # The lookahead sweep's default 5000 cases is sized for native

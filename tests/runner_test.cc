@@ -7,8 +7,13 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -177,7 +182,7 @@ TEST(CliTest, ParsesAllFlags) {
        "--no-progress"});
   EXPECT_EQ(o.threads, 8u);
   EXPECT_EQ(o.trials, 20);
-  EXPECT_EQ(o.points, (std::vector<std::size_t>{0, 3, 4, 5}));
+  EXPECT_EQ(o.points, (std::vector<PointRange>{{0, 0}, {3, 5}}));
   EXPECT_EQ(o.out, "/tmp/x.jsonl");
   EXPECT_FALSE(o.progress);
   EXPECT_FALSE(o.help);
@@ -202,6 +207,13 @@ TEST(CliTest, RejectsMalformedInput) {
                             {"--points=5-2", nullptr},
                             {"--points=", nullptr},
                             {"--bogus", nullptr},
+                            // Counts that do not fit their field: 2^32
+                            // threads used to wrap to 0 (a silent
+                            // sequential run), 2^32 + 1 trials to 1.
+                            {"--threads=4294967296", nullptr},
+                            {"--threads=18446744073709551615", nullptr},
+                            {"--trials=4294967297", nullptr},
+                            {"--trials=2147483648", nullptr},
                             {"--out", nullptr}};  // missing value
   for (const auto& c : cases) {
     const char* argv[] = {"bench_x", c[0]};
@@ -214,11 +226,36 @@ TEST(CliTest, RejectsMalformedInput) {
 }
 
 TEST(CliTest, PointSpecRangesAndDedup) {
-  std::vector<std::size_t> points;
+  std::vector<PointRange> points;
   ASSERT_TRUE(parse_point_spec("4,1-3,2", points));
-  EXPECT_EQ(points, (std::vector<std::size_t>{1, 2, 3, 4}));
+  EXPECT_EQ(points, (std::vector<PointRange>{{1, 4}}));
+  ASSERT_TRUE(parse_point_spec("9,0,2-3,5-6,4", points));
+  EXPECT_EQ(points, (std::vector<PointRange>{{0, 0}, {2, 6}, {9, 9}}));
+  // Ranges are kept, not expanded: the first spec used to loop forever
+  // (p <= hi never turns false), the last to allocate ~32 GB.
+  ASSERT_TRUE(parse_point_spec("0-18446744073709551615,7", points));
+  EXPECT_EQ(points, (std::vector<PointRange>{{0, 18446744073709551615ull}}));
+  ASSERT_TRUE(parse_point_spec("18446744073709551615,18446744073709551614", points));
+  EXPECT_EQ(points, (std::vector<PointRange>{{18446744073709551614ull,
+                                              18446744073709551615ull}}));
+  ASSERT_TRUE(parse_point_spec("0-4000000000", points));
+  EXPECT_EQ(points, (std::vector<PointRange>{{0, 4000000000ull}}));
   EXPECT_FALSE(parse_point_spec("1,,2", points));
   EXPECT_FALSE(parse_point_spec("a-b", points));
+}
+
+TEST(CliTest, CountsAtTheirFieldsLimitsAndEnvThreadsThatWouldWrap) {
+  const auto edge = parse_or_die({"--threads=4294967295", "--trials=2147483647"});
+  EXPECT_EQ(edge.threads, 4294967295u);
+  EXPECT_EQ(edge.trials, 2147483647);
+
+  setenv("ICPDA_THREADS", "4294967296", 1);
+  const char* argv[] = {"bench_x"};
+  RunnerOptions options;
+  std::string error;
+  EXPECT_FALSE(parse_cli(1, const_cast<char**>(argv), options, error));
+  EXPECT_NE(error.find("ICPDA_THREADS"), std::string::npos) << error;
+  unsetenv("ICPDA_THREADS");
 }
 
 // ---- Campaign end-to-end --------------------------------------------
@@ -284,7 +321,7 @@ TEST(CampaignTest, PointSubsetReproducesFullGridRows) {
 
   RunnerOptions subset;
   subset.threads = 2;
-  subset.points = {2, 5};
+  subset.points = {{2, 2}, {5, 5}};
   const std::string some = run_to_string(c, subset);
 
   // Each subset row must appear verbatim in the full output: seeds
@@ -331,10 +368,80 @@ TEST(CampaignTest, OutOfRangePointIndexIsRejected) {
   const Campaign c = test_campaign();
   RunnerOptions options;
   options.progress = false;
-  options.points = {99};
+  options.points = {{99, 99}};
   std::string out;
   JsonlSink sink = JsonlSink::to_buffer(&out);
   EXPECT_EQ(run_campaign(c, options, sink), 1);
+  // A range reaching past the grid is refused before it is expanded.
+  options.points = {{0, 18446744073709551615ull}};
+  EXPECT_EQ(run_campaign(c, options, sink), 1);
+  EXPECT_EQ(sink.rows_written(), 0u);
+}
+
+TEST(CampaignTest, PoolStartsTheLastDeclaredCellsFirst) {
+  // Two workers, and each of the first two cells waits until both
+  // have started, so neither worker can finish one and take a third:
+  // the two cells that start first are exactly the first two the pool
+  // dispatches. They must be the last declared point's trials.
+  Campaign c = test_campaign();  // 8 points x 2 trials = 16 slots
+  c.trials = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<std::size_t, int>> started;
+  bool both_started = true;
+  c.cell = [&](CellContext& ctx) {
+    std::unique_lock lock(mu);
+    started.emplace_back(ctx.point.index(), ctx.trial);
+    if (started.size() > 2) return;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(20), [&] { return started.size() >= 2; })) {
+      both_started = false;
+    }
+  };
+  c.row = [](const Point& p, const PointSummary&, JsonRow& row) {
+    row.num("x", p.get("x"), 0).num("y", p.get("y"), 1);
+  };
+  RunnerOptions options;
+  options.threads = 2;
+  const std::string out = run_to_string(c, options);
+  ASSERT_TRUE(both_started) << "the first two cells never overlapped";
+  ASSERT_EQ(started.size(), 16u);
+  const std::set<std::pair<std::size_t, int>> first(started.begin(), started.begin() + 2);
+  EXPECT_EQ(first, (std::set<std::pair<std::size_t, int>>{{7, 0}, {7, 1}}));
+  // Rows still come out in declaration order, one per point.
+  std::size_t at = 0;
+  for (const char* x : {"\"x\": 1, \"y\": 0.5", "\"x\": 1, \"y\": 1.5", "\"x\": 4, \"y\": 1.5"}) {
+    at = out.find(x, at);
+    EXPECT_NE(at, std::string::npos) << x << " out of order in\n" << out;
+  }
+}
+
+TEST(CampaignTest, PoolIsNoLargerThanTheCellCount) {
+  // Counts the process's threads from inside a cell: 64 workers for
+  // two cells would show as 65 or more.
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+  Campaign c = test_campaign();
+  c.sweep = Sweep{};
+  c.sweep.axis("x", {1}).axis("y", {0.5, 1.5});
+  c.trials = 1;
+  std::atomic<std::size_t> most{0};
+  c.cell = [&most](CellContext& ctx) {
+    const auto tasks = static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator{}));
+    std::size_t seen = most.load();
+    while (seen < tasks && !most.compare_exchange_weak(seen, tasks)) {
+    }
+    ctx.metrics.add("cells");
+  };
+  c.row = [](const Point&, const PointSummary& s, JsonRow& row) {
+    row.num("cells", s.metrics.counter("cells"));
+  };
+  RunnerOptions options;
+  options.threads = 64;
+  run_to_string(c, options);
+  EXPECT_GE(most.load(), 2u);
+  EXPECT_LT(most.load(), 10u);  // the caller, two workers, a sanitizer's own
 }
 
 TEST(CampaignTest, ShardsAndTraceReachCellsAndRows) {
@@ -434,7 +541,19 @@ TEST(BenchMainTest, PointsIndexTheConcatenatedTables) {
   // A table with no selected point is skipped, header included.
   ASSERT_EQ(bench_main_to_string(tables, {"--points=4"}, out), 0);
   EXPECT_EQ(out, "# table B\n# trials per point: 2\n{\"y\": \"20\"}\n");
-  EXPECT_EQ(bench_main_to_string(tables, {"--points=5"}, out), 1);
+  // Out-of-grid specs are refused before anything runs, huge ranges
+  // included (they are never expanded).
+  for (const char* spec : {"--points=5", "--points=0-18446744073709551615",
+                           "--points=0-4000000000", "--points=1,5-4000000000"}) {
+    EXPECT_EQ(bench_main_to_string(tables, {spec}, out), 1) << spec;
+    EXPECT_EQ(out, "") << spec;
+  }
+  // A range is split at the table boundary.
+  ASSERT_EQ(bench_main_to_string(tables, {"--points=1-3"}, out), 0);
+  EXPECT_EQ(out,
+            "# table A\n# trials per point: 2\n{\"x\": 2, \"cells\": 2}\n"
+            "{\"x\": 3, \"cells\": 2}\n"
+            "# table B\n# trials per point: 2\n{\"y\": \"10\"}\n");
 }
 
 // ---- Seeds -----------------------------------------------------------

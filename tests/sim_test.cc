@@ -113,6 +113,25 @@ TEST(SchedulerTest, RejectsPastAndEmptyEvents) {
   EXPECT_THROW(sched.at(seconds(10.0), EventFn{}), std::invalid_argument);
 }
 
+TEST(SchedulerTest, RejectsNonFiniteFireTimes) {
+  // NaN passes a bare `t < now()` check; scheduled, it would fire after
+  // every finite event and leave the clock at NaN.
+  Scheduler sched;
+  bool fired = false;
+  sched.at(seconds(2.0), [&] { fired = true; });
+  sched.run();
+  ASSERT_TRUE(fired);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sched.at(SimTime{bad}, [] {}), std::invalid_argument) << bad;
+    EXPECT_THROW(sched.after(SimTime{bad}, [] {}), std::invalid_argument) << bad;
+    EXPECT_EQ(sched.now(), seconds(2.0)) << bad;
+    EXPECT_EQ(sched.pending(), 0u) << bad;
+  }
+  // The clock still refuses the past afterwards.
+  EXPECT_THROW(sched.at(seconds(1.0), [] {}), std::invalid_argument);
+}
+
 TEST(SchedulerTest, ResetClearsQueueAndClock) {
   Scheduler sched;
   bool fired = false;
