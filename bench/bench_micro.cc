@@ -3,9 +3,9 @@
 // PRF throughput, scheduler push/pop/cancel, channel broadcast
 // fan-out, topology construction, and full-epoch wall-clock.
 //
-// The scheduler/channel/epoch kernels feed BENCH_PR8.json and
-// BENCH_PR10.json (see tools/perf_smoke.py): they are the repo's
-// perf-regression baseline, so keep their names and Arg lists stable.
+// Compare a kernel against a parent revision with
+// `tools/perf_vs_parent.sh micro:<filter>`; the EXPERIMENTS.md T3-T5
+// tables quote kernels by name and Arg, so keep both stable.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -297,25 +297,15 @@ BENCHMARK(BM_TopologyBuild)->Arg(200)->Arg(600)->Arg(2000);
 }  // namespace
 
 // The smoke lane runs every registered benchmark, so the expensive T3
-// scaling points (N=3000..5000 is minutes of wall-clock per pass) and
-// the T5 sharded-engine scaling points (N up to 100k) are only
-// registered under ICPDA_BIG_N=1 — used when regenerating the
-// EXPERIMENTS.md T3/T5 tables.
+// scaling points (N=3000..5000 is minutes of wall-clock per pass) are
+// only registered under ICPDA_BIG_N=1. Larger constant-density epochs
+// are footprint_probe's (`tools/perf_vs_parent.sh footprint:<N>x<S>`).
 int main(int argc, char** argv) {
   if (std::getenv("ICPDA_BIG_N")) {
     benchmark::RegisterBenchmark("BM_IcpdaEpoch", BM_IcpdaEpoch)
         ->Arg(3000)
         ->Arg(4000)
         ->Arg(5000)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark("BM_IcpdaEpochSharded", BM_IcpdaEpochSharded)
-        ->Args({20000, 1})
-        ->Args({20000, 8})
-        ->Args({50000, 1})
-        ->Args({50000, 8})
-        ->Args({100000, 1})
-        ->Args({100000, 8})
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }

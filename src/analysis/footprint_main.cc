@@ -23,6 +23,7 @@
 #include "crypto/keyring.h"
 #include "net/network.h"
 #include "proto/epoch.h"
+#include "runner/cli.h"
 
 namespace {
 
@@ -43,14 +44,6 @@ std::size_t proc_status_kb(const char* key) {
   return out;
 }
 
-bool parse_flag(const char* arg, const char* name, unsigned long long& out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  char* end = nullptr;
-  out = std::strtoull(arg + len + 1, &end, 10);
-  return end != arg + len + 1 && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,14 +51,15 @@ int main(int argc, char** argv) {
 
   unsigned long long nodes = 20000, shards = 1, seed = 1;
   for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (parse_flag(argv[i], "--nodes", v)) {
-      nodes = v;
-    } else if (parse_flag(argv[i], "--shards", v)) {
-      shards = v;
-    } else if (parse_flag(argv[i], "--seed", v)) {
-      seed = v;
-    } else {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    unsigned long long* value = name == "--nodes"    ? &nodes
+                                : name == "--shards" ? &shards
+                                : name == "--seed"   ? &seed
+                                                     : nullptr;
+    if (value == nullptr || eq == std::string::npos ||
+        !runner::parse_uint(arg.substr(eq + 1), *value)) {
       std::fprintf(stderr,
                    "usage: %s [--nodes=N] [--shards=S] [--seed=X]\n", argv[0]);
       return 2;

@@ -3,7 +3,11 @@
 // masks, key-scheme failures, witness arming).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/icpda.h"
@@ -28,7 +32,8 @@ net::NetworkConfig paper_network(std::size_t n, std::uint64_t seed) {
 struct Rig {
   Rig(net::Network& network, const IcpdaConfig& cfg,
       const proto::ReadingProvider& readings, const crypto::KeyScheme& keys,
-      const AttackPlan& attack = {})
+      const AttackPlan& attack = {},
+      const std::function<void(Rig&)>& before_run = {})
       : attack_plan(attack) {
     network.attach_apps([&, this](net::Node&) {
       auto app = std::make_unique<IcpdaApp>(cfg, readings, &keys, &attack_plan,
@@ -36,6 +41,7 @@ struct Rig {
       apps.push_back(app.get());
       return app;
     });
+    if (before_run) before_run(*this);
     // Bounded horizon (mirrors run_icpda_epoch): congested scenarios
     // can drain stragglers for a long simulated time.
     network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
@@ -253,6 +259,90 @@ TEST(IcpdaProtocolTest, DeterministicEpochForFixedSeed) {
     return rig.outcome.result->count;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(IcpdaProtocolTest, ShareFailingAuthenticationIsNeverMerged) {
+  net::Network network(paper_network(200, 27));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  // Take over reception (a delivery hook replaces the channel's MAC
+  // sink): route intact frames to their MACs as the sink does, but flip
+  // one sealed byte of the first share that reaches its recipient.
+  std::map<std::pair<net::NodeId, net::NodeId>, std::uint32_t> last_seen;
+  bool corrupted = false;
+  network.channel().set_delivery(
+      [&](net::NodeId r, const net::Frame& frame, net::ReceptionStatus status) {
+        if (status != net::ReceptionStatus::kOk) return;
+        if (frame.type == net::kMacAck && frame.dst != r) return;
+        std::uint32_t& seen = last_seen[{frame.src, r}];
+        auto share = frame.type == proto::kShare && frame.dst == r
+                         ? proto::ShareMsg::from_bytes(frame.payload)
+                         : std::nullopt;
+        if (corrupted || !share || share->recipient != r) {
+          network.mac(r).handle_reception(frame, seen);
+          return;
+        }
+        corrupted = true;
+        share->sealed[share->sealed.size() / 2] ^= 0x01;
+        net::Frame forged = frame;
+        forged.payload = share->to_bytes();
+        network.mac(r).handle_reception(forged, seen);
+      });
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  ASSERT_TRUE(corrupted);
+  EXPECT_GE(network.metrics().counter("icpda.share_bad_auth"), 1u);
+  // Every reading is 1, so the honest sum is the count. A merged forged
+  // share would throw the sum off it; instead the epoch is accepted
+  // within th of it, or the cluster is written off.
+  ASSERT_TRUE(rig.outcome.result.has_value());
+  const bool within_th =
+      rig.outcome.accepted() &&
+      std::abs(rig.outcome.result->sum - rig.outcome.result->count) <= cfg.th;
+  EXPECT_TRUE(within_th || rig.outcome.clusters_failed >= 1)
+      << "sum " << rig.outcome.result->sum << ", count " << rig.outcome.result->count;
+}
+
+TEST(IcpdaProtocolTest, ReportFromExcludedNodeIsDropped) {
+  constexpr net::NodeId kN = 200;
+  const auto keys = master_keys();
+  // X neighbours the base station, which would be its tree parent; the
+  // mask excludes X.
+  const net::NodeId x = net::Network(paper_network(kN, 28)).topology().neighbors(0).front();
+  IcpdaConfig cfg;
+  proto::HelloMsg mask_builder;
+  for (net::NodeId id = 0; id < kN; ++id) {
+    if (id != x) mask_builder.set_allowed(id, kN);
+  }
+  cfg.allowed_mask = mask_builder.allowed_mask;
+
+  const auto run = [&](bool inject) {
+    net::Network network(paper_network(kN, 28));
+    Rig rig(network, cfg, proto::constant_reading(1.0), keys, {}, [&](Rig& r) {
+      if (!inject) return;
+      network.scheduler().after(sim::seconds(cfg.timing.start_delay_s + 1.0), [&] {
+        proto::ReportMsg report;
+        report.query_id = cfg.query_id;
+        report.reporter = x;
+        report.aggregate = proto::Aggregate::of(1000.0);
+        report.items.push_back(proto::ReportItem{x, report.aggregate});
+        net::Frame frame;
+        frame.src = x;
+        frame.dst = 0;
+        frame.type = proto::kClusterReport;
+        frame.payload = report.to_bytes();
+        r.apps[0]->on_receive(network.node(0), frame);
+      });
+    });
+    return std::pair{rig.outcome.result,
+                     network.metrics().counter("icpda.report_from_excluded")};
+  };
+  const auto [clean, clean_rejects] = run(false);
+  const auto [injected, rejects] = run(true);
+  EXPECT_EQ(clean_rejects, 0u);
+  EXPECT_EQ(rejects, 1u);
+  ASSERT_TRUE(clean.has_value());
+  ASSERT_TRUE(injected.has_value());
+  EXPECT_EQ(*injected, *clean);  // bit-identical: the report was never merged
 }
 
 /// Parameterized density sweep: coverage (heads+members) must stay

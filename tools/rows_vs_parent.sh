@@ -8,30 +8,17 @@
 #
 # This checkout is built in build/ (the default preset), so uncommitted
 # edits are included; to check the working tree against its own last
-# commit, pass HEAD. The reference revision is exported with
-# `git archive` into a temporary directory under $TMPDIR (removed on
-# exit), which leaves no worktree bookkeeping behind in .git. Exits
-# non-zero on any byte difference, a bench that fails on either side,
-# or a failing golden test.
+# commit, pass HEAD. The reference revision is exported and built by
+# tools/parent_tree.sh. Exits non-zero on any byte difference, a bench
+# that fails on either side, or a failing golden test.
 set -eu
 
 rev="${1:-HEAD~1}"
 repo_root="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 cd "$repo_root"
-jobs="$(nproc 2>/dev/null || echo 4)"
-
-work="$(mktemp -d "${TMPDIR:-/tmp}/rows_vs_parent.XXXXXX")"
-trap 'rm -rf "$work"' EXIT INT TERM
-mkdir -p "$work/ref" "$work/rows/ref" "$work/rows/new"
-
-echo "== building reference $rev ($(git rev-parse --short "$rev")) =="
-git archive --format=tar "$rev" | tar -x -C "$work/ref"
-cmake -S "$work/ref" -B "$work/ref/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$work/ref/build" -j "$jobs" >/dev/null
-
-echo "== building this checkout =="
-cmake --preset default >/dev/null
-cmake --build --preset default -j "$jobs" >/dev/null
+. tools/parent_tree.sh
+parent_tree "$rev" rows_vs_parent all
+mkdir -p "$work/rows/ref" "$work/rows/new"
 
 benches="$(sed -n '/^set(ICPDA_CAMPAIGN_BENCHES/,/)/p' bench/CMakeLists.txt |
   sed -e 's/#.*//' -e 's/set(ICPDA_CAMPAIGN_BENCHES//' -e 's/)//' | tr -s ' \n' ' ')"
