@@ -151,6 +151,62 @@ void BM_SchedulerCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancel)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// The queue shape of a running epoch: `far` phase and watchdog timers
+/// pending 0.1-10 s ahead, each re-armed when it fires, while 64 MAC-like
+/// chains churn events 10 us-10 ms ahead. Every chain step also arms an
+/// ACK timer at twice its delay and cancels about 7% of them. Delays
+/// and cancel picks come from precomputed tables, so the RNG stays out
+/// of the timed region.
+class TimerChurn {
+ public:
+  static constexpr std::size_t kChains = 64;
+  static constexpr std::size_t kTable = 4096;
+
+  explicit TimerChurn(std::size_t far)
+      : far_delay_(kTable), near_delay_(kTable), cancel_(kTable) {
+    sim::Rng rng(47);
+    for (double& d : far_delay_) d = rng.uniform(0.1, 10.0);
+    for (double& d : near_delay_) d = rng.uniform(10e-6, 10e-3);
+    for (auto& c : cancel_) c = rng.uniform() < 0.07 ? 1 : 0;
+    for (std::size_t i = 0; i < far; ++i) arm_far();
+    for (std::size_t i = 0; i < kChains; ++i) arm_near();
+  }
+
+  sim::Scheduler& scheduler() { return sched_; }
+
+ private:
+  void arm_far() {
+    sched_.after(sim::seconds(far_delay_[far_next_++ % kTable]), [this] { arm_far(); });
+  }
+  void arm_near() {
+    const std::size_t i = near_next_++ % kTable;
+    const sim::EventId ack = sched_.after(sim::seconds(2.0 * near_delay_[i]), [] {});
+    sched_.after(sim::seconds(near_delay_[i]), [this, ack, cancel = cancel_[i]] {
+      if (cancel != 0) sched_.cancel(ack);
+      arm_near();
+    });
+  }
+
+  sim::Scheduler sched_;
+  std::vector<double> far_delay_;
+  std::vector<double> near_delay_;
+  std::vector<std::uint8_t> cancel_;
+  std::size_t far_next_ = 0;
+  std::size_t near_next_ = 0;
+};
+
+void BM_SchedulerTimerChurn(benchmark::State& state) {
+  // Unlike BM_SchedulerPushPop (fill, then drain), the far timers stay
+  // pending for the whole run, under the churn — the mix that the
+  // protocol's phased timers put on the queue.
+  TimerChurn churn(static_cast<std::size_t>(state.range(0)));
+  sim::Scheduler& sched = churn.scheduler();
+  const std::uint64_t before = sched.executed();
+  for (auto _ : state) benchmark::DoNotOptimize(sched.run_steps(10000));
+  state.SetItemsProcessed(static_cast<std::int64_t>(sched.executed() - before));
+}
+BENCHMARK(BM_SchedulerTimerChurn)->Arg(1000)->Arg(10000);
+
 void BM_ChannelBroadcastFanout(benchmark::State& state) {
   // One transmission into a clique of n nodes through the production
   // wiring (the Network's direct MAC sink, no delivery hook): reception

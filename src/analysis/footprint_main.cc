@@ -10,6 +10,7 @@
 // bytes-per-node against the checked-in baseline.
 //
 // Usage: footprint_probe [--nodes=N] [--shards=S] [--seed=X]
+//        (S at most sim::kMaxShards)
 
 #include <chrono>
 #include <cmath>
@@ -24,6 +25,7 @@
 #include "net/network.h"
 #include "proto/epoch.h"
 #include "runner/cli.h"
+#include "sim/shard.h"
 
 namespace {
 
@@ -44,6 +46,13 @@ std::size_t proc_status_kb(const char* key) {
   return out;
 }
 
+/// Print the usage line; returns the exit code of a bad invocation.
+int usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--nodes=N] [--shards=S] [--seed=X] (S <= %zu)\n",
+               argv0, icpda::sim::kMaxShards);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,11 +69,12 @@ int main(int argc, char** argv) {
                                                      : nullptr;
     if (value == nullptr || eq == std::string::npos ||
         !runner::parse_uint(arg.substr(eq + 1), *value)) {
-      std::fprintf(stderr,
-                   "usage: %s [--nodes=N] [--shards=S] [--seed=X]\n", argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
+  // Each shard is a worker thread: refuse a huge count before the
+  // Network starts any.
+  if (shards > sim::kMaxShards) return usage(argv[0]);
   if (nodes == 0 || shards == 0) {
     std::fprintf(stderr, "--nodes/--shards must be positive\n");
     return 2;

@@ -51,6 +51,9 @@ void Network::wire() {
   if (topology_.size() == 0) {
     throw std::invalid_argument("Network: empty topology");
   }
+  if (config_.shards > sim::kMaxShards) {
+    throw std::invalid_argument("Network: shard count above sim::kMaxShards");
+  }
 
   // Sharded setup first: the MACs below must be bound to their
   // home-shard scheduler/registry at construction.

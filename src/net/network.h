@@ -46,7 +46,7 @@ struct NetworkConfig {
   std::uint64_t seed = 1;
   /// Spatial shards for parallel execution (1 = classic single-engine
   /// run). Clamped to the node count; results are byte-identical for
-  /// every value.
+  /// every value. Above sim::kMaxShards the Network refuses to build.
   std::size_t shards = 1;
   ChannelConfig channel;
   MacConfig mac;

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "runner/thread_pool.h"
+#include "sim/shard.h"
 
 namespace icpda::runner {
 
@@ -52,6 +53,12 @@ bool parse_threads(const std::string& s, unsigned& out) {
   if (!parse_uint(s, t) || t > std::numeric_limits<unsigned>::max()) return false;
   out = t == 0 ? ThreadPool::default_threads() : static_cast<unsigned>(t);
   return true;
+}
+
+/// --shards / ICPDA_SHARDS: 1..sim::kMaxShards (each shard is a
+/// thread, so a huge count is refused before anything starts).
+bool parse_shards(const std::string& s, unsigned long long& out) {
+  return parse_uint(s, out) && out >= 1 && out <= sim::kMaxShards;
 }
 
 }  // namespace
@@ -105,9 +112,9 @@ bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error
   }
   if (const char* env = std::getenv("ICPDA_SHARDS")) {
     unsigned long long s = 0;
-    if (!parse_uint(env, s) || s == 0) {
-      error = std::string("ICPDA_SHARDS: expected a positive integer, got '") +
-              env + "'";
+    if (!parse_shards(env, s)) {
+      error = std::string("ICPDA_SHARDS: expected an integer in 1..") +
+              std::to_string(sim::kMaxShards) + ", got '" + env + "'";
       return false;
     }
     options.shards = static_cast<std::size_t>(s);
@@ -137,8 +144,9 @@ bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error
     if (take_value_flag(argc, argv, i, "--shards", value, error)) {
       unsigned long long s = 0;
       if (!error.empty()) return false;
-      if (!parse_uint(value, s) || s == 0) {
-        error = "--shards: expected a positive integer, got '" + value + "'";
+      if (!parse_shards(value, s)) {
+        error = "--shards: expected an integer in 1.." + std::to_string(sim::kMaxShards) +
+                ", got '" + value + "'";
         return false;
       }
       options.shards = static_cast<std::size_t>(s);
@@ -181,7 +189,7 @@ void print_usage(const char* argv0) {
                "  --threads=N    worker threads (0 = all hardware threads;\n"
                "                 default $ICPDA_THREADS or 1). Rows are\n"
                "                 byte-identical at every thread count.\n"
-               "  --shards=N     spatial shards per simulated network\n"
+               "  --shards=N     spatial shards per simulated network, 1..%zu\n"
                "                 (default $ICPDA_SHARDS or 1). Rows are\n"
                "                 byte-identical at every shard count.\n"
                "  --trials=N     Monte-Carlo trials per grid point\n"
@@ -191,7 +199,7 @@ void print_usage(const char* argv0) {
                "  --trace        per-cell structured tracing (trace-aware\n"
                "                 campaigns add per-phase breakdown columns)\n"
                "  --no-progress  suppress the stderr progress/ETA reporter\n",
-               argv0);
+               argv0, sim::kMaxShards);
 }
 
 }  // namespace icpda::runner

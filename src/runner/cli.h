@@ -4,9 +4,10 @@
 //                 from ICPDA_THREADS, else 1 so plain invocations stay
 //                 sequential and comparable. Row output is identical
 //                 at every thread count (see campaign.h).
-//   --shards=N    spatial shards per simulated Network (default from
-//                 ICPDA_SHARDS, else 1). Row output is identical at
-//                 every shard count (see net/shard_engine.h).
+//   --shards=N    spatial shards per simulated Network, at most
+//                 sim::kMaxShards (default from ICPDA_SHARDS, else 1).
+//                 Row output is identical at every shard count (see
+//                 net/shard_engine.h).
 //   --trials=N    Monte-Carlo trials per grid point; default from the
 //                 campaign declaration (usually ICPDA_TRIALS-scaled).
 //   --points=SPEC run only the listed flat grid points, e.g.

@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -73,24 +74,62 @@ EventId Scheduler::at(SimTime t, EventFn fn, std::uint32_t owner, bool border) {
     s = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    s = static_cast<std::uint32_t>(meta_.size());
-    meta_.emplace_back();
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    gens_.push_back(0);
     fns_.emplace_back();
   }
-  Meta& m = meta_[s];
   fns_[s] = std::move(fn);
-  m.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{key, owner, s});
-  sift_up(heap_.size() - 1);
+  slots_[s].key = key;
+  slots_[s].owner = owner;
+  file(s);
   if (border) index_border(key, s);
-  return encode(s, m.gen);
+  return encode(s, gens_[s]);
+}
+
+std::uint64_t Scheduler::radix(SimTime t) {
+  return std::bit_cast<std::uint64_t>(t.seconds()) & ~(std::uint64_t{1} << 63);
+}
+
+void Scheduler::file(std::uint32_t s) {
+  const std::uint64_t key = radix(slots_[s].key.at);
+  if (key <= origin_) {
+    slots_[s].pos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(s);
+    sift_up(heap_.size() - 1);
+    return;
+  }
+  const int k = std::bit_width(key ^ origin_) - 1;
+  std::vector<std::uint32_t>& bucket = buckets_[k];
+  slots_[s].pos = kInBucket | static_cast<std::uint32_t>(bucket.size());
+  bucket.push_back(s);
+  nonempty_ |= std::uint64_t{1} << k;
+}
+
+bool Scheduler::fill_heap() {
+  if (!heap_.empty()) return true;
+  if (nonempty_ == 0) return false;
+  // Every event of the lowest non-empty bucket k agrees with the origin
+  // above bit k and has bit k set, so with the origin moved to their
+  // minimum each one either equals it (-> heap) or first differs from
+  // it below bit k: none re-files into k, and higher buckets keep
+  // their index.
+  const int k = std::countr_zero(nonempty_);
+  std::vector<std::uint32_t>& bucket = buckets_[k];
+  std::uint64_t low = radix(slots_[bucket.front()].key.at);
+  for (const std::uint32_t s : bucket) low = std::min(low, radix(slots_[s].key.at));
+  origin_ = low;
+  for (const std::uint32_t s : bucket) file(s);
+  bucket.clear();
+  nonempty_ &= ~(std::uint64_t{1} << k);
+  return true;
 }
 
 // Out of line deliberately: only sharded runs ever tag border events,
 // and inlining the push_heap machinery doubles at()'s code size for
 // everyone else.
 void Scheduler::index_border(const EventKey& key, std::uint32_t s) {
-  border_.push_back(BorderEntry{key, s, meta_[s].gen});
+  border_.push_back(BorderEntry{key, s, gens_[s]});
   std::push_heap(border_.begin(), border_.end(),
                  [](const BorderEntry& a, const BorderEntry& b) {
                    return border_later(a.key, b.key);
@@ -110,8 +149,7 @@ bool Scheduler::next_border(EventKey& out) {
   };
   while (!border_.empty()) {
     const BorderEntry& top = border_.front();
-    const Meta& m = meta_[top.slot];
-    if (m.gen == top.gen && m.heap_pos != kNotQueued) {
+    if (gens_[top.slot] == top.gen && slots_[top.slot].pos != kNotQueued) {
       out = top.key;
       return true;
     }
@@ -126,30 +164,35 @@ bool Scheduler::cancel(EventId id) {
   const auto raw = static_cast<std::uint64_t>(id);
   const auto s = static_cast<std::uint32_t>(raw & 0xFFFFFFFFu);
   const auto gen = static_cast<std::uint32_t>(raw >> 32);
-  if (s >= meta_.size()) return false;
-  const Meta& m = meta_[s];
-  if (m.gen != gen || m.heap_pos == kNotQueued) return false;  // fired or stale
-  remove_at(m.heap_pos);
+  if (s >= slots_.size()) return false;
+  const std::uint32_t pos = slots_[s].pos;
+  if (gens_[s] != gen || pos == kNotQueued) return false;  // fired or stale
+  if ((pos & kInBucket) != 0) {
+    unbucket(s);
+  } else {
+    remove_at(pos);
+  }
+  release(s);
   return true;
 }
 
 void Scheduler::sift_up(std::size_t pos) {
-  const HeapEntry e = heap_[pos];
+  const std::uint32_t e = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    const HeapEntry& p = heap_[parent];
+    const std::uint32_t p = heap_[parent];
     if (!before(e, p)) break;
     heap_[pos] = p;
-    meta_[p.slot].heap_pos = static_cast<std::uint32_t>(pos);
+    slots_[p].pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
   heap_[pos] = e;
-  meta_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  slots_[e].pos = static_cast<std::uint32_t>(pos);
 }
 
 void Scheduler::sift_down(std::size_t pos) {
   const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[pos];
+  const std::uint32_t e = heap_[pos];
   while (true) {
     const std::size_t first = 4 * pos + 1;
     if (first >= n) break;
@@ -158,53 +201,61 @@ void Scheduler::sift_down(std::size_t pos) {
     for (std::size_t c = first + 1; c < last; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    const HeapEntry b = heap_[best];
+    const std::uint32_t b = heap_[best];
     if (!before(b, e)) break;
     heap_[pos] = b;
-    meta_[b.slot].heap_pos = static_cast<std::uint32_t>(pos);
+    slots_[b].pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
   heap_[pos] = e;
-  meta_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  slots_[e].pos = static_cast<std::uint32_t>(pos);
 }
 
 void Scheduler::remove_at(std::size_t pos) {
-  release(heap_[pos].slot);
-  const HeapEntry moved = heap_.back();
+  const std::uint32_t moved = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // removed the tail
   heap_[pos] = moved;
-  meta_[moved.slot].heap_pos = static_cast<std::uint32_t>(pos);
   // The replacement came from the bottom: it can only need to move
   // down, unless the removal hole was below its parent (possible when
   // removing from the middle) — try both; one is a no-op.
   sift_up(pos);
-  sift_down(meta_[moved.slot].heap_pos);
+  sift_down(slots_[moved].pos);
+}
+
+void Scheduler::unbucket(std::uint32_t s) {
+  // The bucket follows from the fire time, as in file().
+  const int k = std::bit_width(radix(slots_[s].key.at) ^ origin_) - 1;
+  std::vector<std::uint32_t>& bucket = buckets_[k];
+  const std::uint32_t idx = slots_[s].pos & ~kInBucket;
+  const std::uint32_t moved = bucket.back();
+  bucket[idx] = moved;
+  slots_[moved].pos = kInBucket | idx;
+  bucket.pop_back();
+  if (bucket.empty()) nonempty_ &= ~(std::uint64_t{1} << k);
 }
 
 void Scheduler::release(std::uint32_t s) {
   fns_[s] = nullptr;  // drop captured state now, not at slot reuse
-  Meta& m = meta_[s];
-  m.heap_pos = kNotQueued;
-  ++m.gen;
+  slots_[s].pos = kNotQueued;
+  ++gens_[s];
   free_slots_.push_back(s);
 }
 
 bool Scheduler::pop_next(Popped& out) {
-  if (heap_.empty()) return false;
-  const std::uint32_t s = heap_[0].slot;
-  Meta& m = meta_[s];
-  out.at = heap_[0].key.at;
-  out.owner = heap_[0].owner;
+  if (!fill_heap()) return false;
+  const std::uint32_t s = heap_[0];
+  Entry& e = slots_[s];
+  out.at = e.key.at;
+  out.owner = e.owner;
   out.fn = std::move(fns_[s]);  // move empties the slab cell
-  m.heap_pos = kNotQueued;
-  ++m.gen;
+  e.pos = kNotQueued;
+  ++gens_[s];
   free_slots_.push_back(s);
-  const HeapEntry moved = heap_.back();
+  const std::uint32_t moved = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
     heap_[0] = moved;
-    meta_[moved.slot].heap_pos = 0;
     sift_down(0);
   }
   return true;
@@ -223,7 +274,7 @@ std::uint64_t Scheduler::run() {
 std::uint64_t Scheduler::run_until(SimTime deadline) {
   std::uint64_t fired = 0;
   Popped ev;
-  while (!heap_.empty() && heap_[0].key.at <= deadline) {
+  while (fill_heap() && slots_[heap_[0]].key.at <= deadline) {
     pop_next(ev);
     dispatch(ev);
     ++fired;
@@ -235,7 +286,7 @@ std::uint64_t Scheduler::run_until(SimTime deadline) {
 std::uint64_t Scheduler::run_before(SimTime bound) {
   std::uint64_t fired = 0;
   Popped ev;
-  while (!heap_.empty() && heap_[0].key.at < bound) {
+  while (fill_heap() && slots_[heap_[0]].key.at < bound) {
     pop_next(ev);
     dispatch(ev);
     ++fired;
@@ -261,11 +312,38 @@ std::uint64_t Scheduler::run_steps(std::uint64_t max_events) {
 }
 
 void Scheduler::reset() {
-  for (const HeapEntry& e : heap_) release(e.slot);
+  for (const std::uint32_t s : heap_) release(s);
   heap_.clear();
+  for (std::vector<std::uint32_t>& bucket : buckets_) {
+    for (const std::uint32_t s : bucket) release(s);
+    bucket.clear();
+  }
+  nonempty_ = 0;
+  origin_ = 0;
   border_.clear();
   now_ = SimTime::zero();
   executed_ = 0;
+}
+
+std::size_t Scheduler::pending() const {
+  std::size_t n = heap_.size();
+  for (std::uint64_t m = nonempty_; m != 0; m &= m - 1) {
+    n += buckets_[std::countr_zero(m)].size();
+  }
+  return n;
+}
+
+std::size_t Scheduler::footprint_bytes() const {
+  std::size_t bytes = slots_.capacity() * sizeof(Entry) +
+                      gens_.capacity() * sizeof(std::uint32_t) +
+                      fns_.capacity() * sizeof(EventFn) +
+                      free_slots_.capacity() * sizeof(std::uint32_t) +
+                      heap_.capacity() * sizeof(std::uint32_t) +
+                      border_.capacity() * sizeof(BorderEntry);
+  for (const std::vector<std::uint32_t>& bucket : buckets_) {
+    bytes += bucket.capacity() * sizeof(std::uint32_t);
+  }
+  return bytes;
 }
 
 }  // namespace icpda::sim

@@ -30,19 +30,41 @@
 // the creator key changed the golden trace once, deliberately
 // (DESIGN.md §5j).
 //
-// Representation (DESIGN.md §5f, §5i): an indexed 4-ary min-heap over
-// a slab of event slots. The heap array stores the full key plus the
-// slot inline, so sift compares stream contiguous 32-byte records with
-// no per-compare gather into a side table; each slot records its own
-// heap position, so cancel() removes the event from the middle of the
-// heap in O(log n) — no tombstones, no hash tables, no per-event
-// allocation beyond what the closure itself needs. EventIds encode
+// Representation (DESIGN.md §5f, §5i): radix buckets plus a tie heap
+// over one slab of event slots. Each slot's 32-byte entry (canonical
+// key, owner, queue position) lives in the slab; the queue structures
+// hold 4-byte slot ids only. The queue keeps an origin time and splits
+// the pending events at it:
+//
+//  - Events at or below the origin sit in an indexed 4-ary min-heap
+//    ordered by the full EventKey: same-instant ties, and events
+//    scheduled below the origin after a peek moved it forward (the
+//    sharded gate's pattern), stay exactly ordered.
+//  - Events above it sit in radix bucket k, where k is the highest bit
+//    at which the IEEE-754 bits of the fire time differ from the
+//    origin's (non-negative finite doubles order like their bit
+//    patterns; -0.0 is folded onto +0.0). A 64-bit mask marks the
+//    non-empty buckets.
+//
+// A pop that finds the heap empty takes the lowest non-empty bucket,
+// moves the origin to that bucket's minimum fire time and re-files its
+// events: those at the new origin go into the heap, the rest into
+// strictly lower buckets. Every event so descends at most 63 buckets
+// before it fires (a monotone radix heap: Ahuja, Mehlhorn, Orlin and
+// Tarjan, J. ACM 1990), and the far phase and watchdog timers that
+// every node keeps pending never enter the heap until their turn, so
+// pops stop sifting through them. at() refusing past and non-finite
+// times is what keeps the queue monotone. cancel() is an O(1)
+// swap-remove for a bucketed event and an O(log n) middle removal for
+// a heap one — no tombstones, no hash tables, no per-event allocation
+// beyond what the closure itself needs. EventIds encode
 // (generation, slot), making stale ids self-invalidating. The
-// callables live in a slab parallel to the slot metadata and are
-// touched exactly twice per event (store at schedule, move-out at
-// pop) — never during heap maintenance.
+// callables live in a slab parallel to the entries and are touched
+// exactly twice per event (store at schedule, move-out at pop) —
+// never during queue maintenance.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -144,7 +166,7 @@ class Scheduler {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Number of events currently pending (excludes cancelled ones).
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending() const;
 
   /// Schedule `fn` at absolute time `t`. `t` must be >= now().
   /// `owner` is the node the event acts for (kNoEventOwner when none);
@@ -162,7 +184,8 @@ class Scheduler {
     return at(now_ + delay, std::move(fn), owner, border);
   }
 
-  /// Cancel a pending event: O(log n) true removal from the heap.
+  /// Cancel a pending event: true removal from the queue (O(1) from a
+  /// bucket, O(log n) from the tie heap).
   /// Cancelling an already-fired or already cancelled event is a
   /// harmless no-op. Returns true if the event was pending.
   bool cancel(EventId id);
@@ -180,11 +203,18 @@ class Scheduler {
 
   // ---- sharded-engine surface (net/shard_engine.h) ------------------
 
-  [[nodiscard]] bool has_next() const { return !heap_.empty(); }
-  /// Fire time of the next event; requires has_next().
-  [[nodiscard]] SimTime next_time() const { return heap_.front().key.at; }
-  /// Canonical key of the next event; requires has_next().
-  [[nodiscard]] const EventKey& next_key() const { return heap_.front().key; }
+  [[nodiscard]] bool has_next() const { return !heap_.empty() || nonempty_ != 0; }
+  /// Fire time of the next event; requires has_next(). Not const: the
+  /// peek may refill the tie heap from a bucket, so call it only where
+  /// no other thread touches this scheduler (the engine's gate and
+  /// planner run with every drain parked at the barrier).
+  [[nodiscard]] SimTime next_time() { return next_key().at; }
+  /// Canonical key of the next event; requires has_next(). May refill
+  /// the tie heap, as next_time().
+  [[nodiscard]] const EventKey& next_key() {
+    fill_heap();
+    return slots_[heap_.front()].key;
+  }
   /// Canonical key of the earliest still-pending border event; false
   /// when none. Prunes fired/cancelled index entries lazily.
   bool next_border(EventKey& out);
@@ -211,38 +241,30 @@ class Scheduler {
   /// the shards of a sharded run).
   [[nodiscard]] const CreatorCounters& counters() const { return *counters_; }
 
-  /// Heap bytes held by the event storage (slot slabs, heap, border
-  /// index) — capacity-based, so it reports high-water footprint, not
-  /// the instantaneous queue depth. The counter table is excluded: it
-  /// may be shared, so its holder counts it once. Feeds the footprint
-  /// probe (analysis/footprint_main.cc).
-  [[nodiscard]] std::size_t footprint_bytes() const {
-    return meta_.capacity() * sizeof(Meta) + fns_.capacity() * sizeof(EventFn) +
-           free_slots_.capacity() * sizeof(std::uint32_t) +
-           heap_.capacity() * sizeof(HeapEntry) +
-           border_.capacity() * sizeof(BorderEntry);
-  }
+  /// Heap bytes held by the event storage (slot slabs, tie heap,
+  /// buckets, border index) — capacity-based, so it reports high-water
+  /// footprint, not the instantaneous queue depth. The counter table is
+  /// excluded: it may be shared, so its holder counts it once. Feeds
+  /// the footprint probe (analysis/footprint_main.cc).
+  [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
-  /// Sentinel heap position marking a slot as free / not queued.
+  /// Sentinel queue position marking a slot as free / not queued.
   static constexpr std::uint32_t kNotQueued = 0xFFFFFFFF;
+  /// Queue-position flag of a bucketed slot; the low bits are its index
+  /// in the bucket. The bucket itself follows from the fire time and
+  /// the origin, so it is not stored.
+  static constexpr std::uint32_t kInBucket = 0x80000000;
+  /// One radix bucket per bit of the 64-bit time key.
+  static constexpr int kBuckets = 64;
 
-  /// Per-slot identity metadata (8 bytes): `gen` validates EventIds
-  /// across slot reuse, `heap_pos` lets cancel() find the slot's heap
-  /// entry. The ordering keys live in the heap entries themselves.
-  struct Meta {
-    std::uint32_t gen = 0;
-    std::uint32_t heap_pos = kNotQueued;
-  };
-
-  /// One queued event as the heap sees it: the canonical key plus the
-  /// event's owner and slot, stored inline so sift compares walk
-  /// contiguous 32-byte records instead of gathering keys from a side
-  /// table.
-  struct HeapEntry {
+  /// One slot's queued event: the canonical key, the event's owner and
+  /// where it sits — its tie-heap index, kInBucket | its bucket index,
+  /// or kNotQueued.
+  struct Entry {
     EventKey key;
-    std::uint32_t owner;
-    std::uint32_t slot;
+    std::uint32_t owner = kNoEventOwner;
+    std::uint32_t pos = kNotQueued;
   };
 
   /// Border-event index entry; validated against the slot generation
@@ -257,19 +279,35 @@ class Scheduler {
     return static_cast<EventId>((static_cast<std::uint64_t>(gen) << 32) | slot);
   }
 
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    return a.key < b.key;
+  /// The radix key of a fire time: its IEEE-754 bits with the sign
+  /// cleared. at() admits no negative time but -0.0, which this folds
+  /// onto +0.0; every other admitted time orders like its key.
+  [[nodiscard]] static std::uint64_t radix(SimTime t);
+
+  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
+    return slots_[a].key < slots_[b].key;
   }
 
   /// Append the just-scheduled event to the border index (cold: only
   /// sharded runs tag border events; kept out of at()'s inline body).
   void index_border(const EventKey& key, std::uint32_t s);
 
+  /// Queue slot `s` by its fire time: into the tie heap at or below
+  /// the origin, else into its radix bucket.
+  void file(std::uint32_t s);
+  /// Ensure the tie heap holds the next event when any is pending:
+  /// with the heap empty, move the origin to the lowest non-empty
+  /// bucket's minimum and re-file that bucket. False if nothing is
+  /// pending.
+  bool fill_heap();
+
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  /// Remove the slot at heap position `pos` (restoring heap order) and
-  /// return it to the free list.
+  /// Take the slot at heap position `pos` out of the heap, restoring
+  /// heap order.
   void remove_at(std::size_t pos);
+  /// Take a bucketed slot out of its bucket (swap-remove).
+  void unbucket(std::uint32_t s);
   /// Release a slot back to the free list, bumping its generation.
   void release(std::uint32_t slot);
 
@@ -289,14 +327,24 @@ class Scheduler {
   /// can freely schedule (and reuse storage).
   bool pop_next(Popped& out);
 
-  std::vector<Meta> meta_;
-  /// Callable slab, parallel to meta_.
+  /// Entry slab, indexed by slot.
+  std::vector<Entry> slots_;
+  /// Slot generations, parallel to slots_: validate EventIds across
+  /// slot reuse.
+  std::vector<std::uint32_t> gens_;
+  /// Callable slab, parallel to slots_.
   std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
-  /// 4-ary min-heap of canonical-key entries. Four-way beats binary
-  /// here: half the tree depth, and the sibling compares stream
-  /// adjacent inline keys.
-  std::vector<HeapEntry> heap_;
+  /// 4-ary min-heap of the slots at or below the origin. Four-way beats
+  /// binary here: half the tree depth for the same-instant batches.
+  std::vector<std::uint32_t> heap_;
+  /// Radix buckets of the slots above the origin (see the
+  /// representation note at the top of this file).
+  std::array<std::vector<std::uint32_t>, kBuckets> buckets_;
+  /// Bit k set iff buckets_[k] is non-empty.
+  std::uint64_t nonempty_ = 0;
+  /// Radix key of the origin.
+  std::uint64_t origin_ = 0;
   /// Lazy min-heap over border-tagged events (sharded engine only;
   /// empty and untouched in single-shard runs).
   std::vector<BorderEntry> border_;

@@ -31,11 +31,18 @@
 // adapts its CSR topology when building the plan.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 namespace icpda::sim {
+
+/// Most shards one Network may run: each shard is a worker thread, so
+/// an unchecked count (--shards, ICPDA_SHARDS, NetworkConfig::shards)
+/// asks for that many threads at once. 8x the largest count any test
+/// or bench uses.
+inline constexpr std::size_t kMaxShards = 64;
 
 struct ShardPlan {
   std::uint32_t shard_count = 1;

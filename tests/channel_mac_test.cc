@@ -13,6 +13,7 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "net/wire.h"
+#include "sim/shard.h"
 
 namespace icpda::net {
 namespace {
@@ -333,6 +334,16 @@ TEST(NodeTest, TimerDiesWithTheAppThatSetIt) {
 TEST(NetworkTest, RejectsEmptyTopology) {
   NetworkConfig cfg;
   EXPECT_THROW(Network(Topology{{}, 50.0}, cfg), std::invalid_argument);
+}
+
+TEST(NetworkTest, RejectsShardCountAboveTheCeiling) {
+  // Refused before the shard pool exists: 20000 shards would be 400
+  // worker threads here (one per node) and 20000 at N = 20k.
+  NetworkConfig cfg;
+  cfg.shards = 20000;
+  EXPECT_THROW(Network{cfg}, std::invalid_argument);
+  cfg.shards = sim::kMaxShards + 1;
+  EXPECT_THROW(Network{cfg}, std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // masks, key-scheme failures, witness arming).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -343,6 +344,105 @@ TEST(IcpdaProtocolTest, ReportFromExcludedNodeIsDropped) {
   ASSERT_TRUE(clean.has_value());
   ASSERT_TRUE(injected.has_value());
   EXPECT_EQ(*injected, *clean);  // bit-identical: the report was never merged
+}
+
+TEST(IcpdaProtocolTest, HelloPastTheHopBudgetIsDropped) {
+  // With a one-hop budget only the base station's own HELLO (hop 0)
+  // is joinable; its neighbours forward hop 1, which every node
+  // further out must drop — counted, and without joining the tree.
+  net::Network network(paper_network(200, 29));
+  IcpdaConfig cfg;
+  cfg.timing.max_hops = 1;
+  const auto keys = master_keys();
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  EXPECT_GT(network.metrics().counter("icpda.hop_budget_exceeded"), 0u);
+  const auto bs_neighbors = network.topology().neighbors(0);
+  std::size_t beyond = 0;
+  for (net::NodeId id = 1; id < network.size(); ++id) {
+    if (std::find(bs_neighbors.begin(), bs_neighbors.end(), id) != bs_neighbors.end()) {
+      continue;
+    }
+    ++beyond;
+    EXPECT_FALSE(rig.apps[id]->joined_tree()) << "node " << id;
+  }
+  EXPECT_GT(beyond, 0u);
+}
+
+/// Take over reception as ShareFailingAuthenticationIsNeverMerged
+/// does, and pass every cluster digest copy that reaches one member —
+/// the first non-head member of the first digest heard — through
+/// `forge` first. Returns that member (kNoNode before any digest).
+std::shared_ptr<net::NodeId> forge_member_digests(
+    net::Network& network,
+    std::function<void(proto::ClusterDigestMsg&, std::size_t member_idx)> forge) {
+  auto target = std::make_shared<net::NodeId>(net::kNoNode);
+  auto last_seen =
+      std::make_shared<std::map<std::pair<net::NodeId, net::NodeId>, std::uint32_t>>();
+  network.channel().set_delivery([&network, target, last_seen, forge = std::move(forge)](
+                                     net::NodeId r, const net::Frame& frame,
+                                     net::ReceptionStatus status) {
+    if (status != net::ReceptionStatus::kOk) return;
+    if (frame.type == net::kMacAck && frame.dst != r) return;
+    std::uint32_t& seen = (*last_seen)[{frame.src, r}];
+    auto digest = frame.type == proto::kClusterDigest
+                      ? proto::ClusterDigestMsg::from_bytes(frame.payload)
+                      : std::nullopt;
+    if (digest && *target == net::kNoNode && digest->members.size() >= 2) {
+      *target = digest->members[1];
+    }
+    if (!digest || r != *target) {
+      network.mac(r).handle_reception(frame, seen);
+      return;
+    }
+    const auto at = std::find(digest->members.begin(), digest->members.end(), r);
+    if (at == digest->members.end()) {  // a foreign cluster's digest
+      network.mac(r).handle_reception(frame, seen);
+      return;
+    }
+    forge(*digest, static_cast<std::size_t>(at - digest->members.begin()));
+    net::Frame forged = frame;
+    forged.payload = digest->to_bytes();
+    network.mac(r).handle_reception(forged, seen);
+  });
+  return target;
+}
+
+TEST(IcpdaProtocolTest, DigestForgingTheMembersOwnFIsCaught) {
+  // Endorsement check 1: a digest whose entry for this member differs
+  // from the F it sent is provable forgery by the head — counted,
+  // alarmed as value tampering, and never endorsed.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  const auto target = forge_member_digests(
+      network, [](proto::ClusterDigestMsg& d, std::size_t idx) { d.f_values[idx].sum += 1000.0; });
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  ASSERT_NE(*target, net::kNoNode);
+  EXPECT_GE(network.metrics().counter("icpda.digest_forged_f"), 1u);
+  const IcpdaApp& member = *rig.apps[*target];
+  const auto alarm = std::find_if(
+      rig.outcome.alarms.begin(), rig.outcome.alarms.end(),
+      [&](const proto::AlarmMsg& a) { return a.witness == *target; });
+  ASSERT_NE(alarm, rig.outcome.alarms.end());
+  EXPECT_EQ(alarm->kind, proto::AlarmMsg::kValueTamper);
+  EXPECT_EQ(alarm->accused, member.cluster().head());
+  EXPECT_FALSE(member.cluster_value().has_value()) << "witness armed on a forged digest";
+}
+
+TEST(IcpdaProtocolTest, DigestWithAnotherContributorSetIsNotEndorsed) {
+  // Endorsement check 2: a member cannot vouch for a solution over a
+  // contributor set other than the one it assembled.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  const auto target = forge_member_digests(
+      network, [](proto::ClusterDigestMsg& d, std::size_t) { d.contributors.push_back(0xBAD); });
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  ASSERT_NE(*target, net::kNoNode);
+  EXPECT_GE(network.metrics().counter("icpda.digest_contributor_mismatch"), 1u);
+  EXPECT_EQ(network.metrics().counter("icpda.digest_forged_f"), 0u);
+  EXPECT_FALSE(rig.apps[*target]->cluster_value().has_value())
+      << "witness armed on a digest it cannot vouch for";
 }
 
 /// Parameterized density sweep: coverage (heads+members) must stay

@@ -26,6 +26,7 @@
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
 #include "sim/rng.h"
+#include "sim/shard.h"
 
 namespace icpda::runner {
 namespace {
@@ -214,6 +215,10 @@ TEST(CliTest, RejectsMalformedInput) {
                             {"--threads=18446744073709551615", nullptr},
                             {"--trials=4294967297", nullptr},
                             {"--trials=2147483648", nullptr},
+                            // Shards are threads: above the ceiling
+                            // of 64, refused rather than started.
+                            {"--shards=65", nullptr},
+                            {"--shards=20000", nullptr},
                             {"--out", nullptr}};  // missing value
   for (const auto& c : cases) {
     const char* argv[] = {"bench_x", c[0]};
@@ -256,6 +261,20 @@ TEST(CliTest, CountsAtTheirFieldsLimitsAndEnvThreadsThatWouldWrap) {
   EXPECT_FALSE(parse_cli(1, const_cast<char**>(argv), options, error));
   EXPECT_NE(error.find("ICPDA_THREADS"), std::string::npos) << error;
   unsetenv("ICPDA_THREADS");
+}
+
+TEST(CliTest, ShardCeilingHoldsForFlagAndEnv) {
+  // Each shard is a thread: ICPDA_SHARDS=20000 would start 20000 of
+  // them (the flag's out-of-range cases are in RejectsMalformedInput).
+  EXPECT_EQ(parse_or_die({"--shards=64"}).shards, sim::kMaxShards);
+  setenv("ICPDA_SHARDS", "20000", 1);
+  const char* argv[] = {"bench_x"};
+  RunnerOptions options;
+  std::string error;
+  EXPECT_FALSE(parse_cli(1, const_cast<char**>(argv), options, error));
+  EXPECT_NE(error.find("ICPDA_SHARDS"), std::string::npos) << error;
+  EXPECT_EQ(options.shards, 1u);
+  unsetenv("ICPDA_SHARDS");
 }
 
 // ---- Campaign end-to-end --------------------------------------------

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -34,6 +37,45 @@ std::vector<std::uint64_t> reference_order(std::vector<RefEvent> evs) {
   }
   return order;
 }
+
+/// Online differential rig over the same reference model. Events may
+/// be scheduled from the test body or from inside callbacks; either
+/// way the schedule clock never runs back (no reset() inside one rig),
+/// so ordering by (time, schedule time, sequence) — the canonical key
+/// of events that all share one creator — is exactly the stable sort
+/// by time that reference_order() performs.
+struct DiffRig {
+  Scheduler sched;
+  std::vector<RefEvent> ref;
+  std::vector<EventId> ids;
+  std::vector<bool> done;
+  std::vector<std::uint64_t> fired;
+
+  std::uint64_t schedule(double t, std::function<void()> then = {}) {
+    const std::uint64_t seq = ref.size();
+    ref.push_back({t, seq});
+    done.push_back(false);
+    ids.push_back(sched.at(seconds(t), [this, seq, then = std::move(then)] {
+      fired.push_back(seq);
+      done[seq] = true;
+      if (then) then();
+    }));
+    return seq;
+  }
+
+  /// Cancel `seq`; cancel() must report exactly whether it was pending.
+  void cancel(std::uint64_t seq) {
+    const bool live = !done[seq] && !ref[seq].cancelled;
+    EXPECT_EQ(sched.cancel(ids[seq]), live) << "seq " << seq;
+    if (live) ref[seq].cancelled = true;
+  }
+
+  [[nodiscard]] std::size_t live() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) n += !done[i] && !ref[i].cancelled;
+    return n;
+  }
+};
 
 TEST(SchedulerPropertyTest, SameTimestampBatchesFireInScheduleOrder) {
   // Many events across few distinct timestamps: every tie must resolve
@@ -215,6 +257,138 @@ TEST(SchedulerPropertyTest, HeavyChurnClockStaysMonotone) {
   sched.run();
   EXPECT_EQ(sched.executed(), dispatched);
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(SchedulerPropertyTest, FarTimersAcrossExponentBoundariesUnderChurn) {
+  // Phase timers around 1 s and 2 s, where the fire time's IEEE-754
+  // exponent (the high bits of the queue's radix key) changes, stay
+  // pending while chains churn microsecond-scale events past them and
+  // re-arm far timers up to 10 s ahead. Exact boundary values and
+  // their neighbours are in the mix.
+  Rng rng(0xE4B0);
+  for (int trial = 0; trial < 10; ++trial) {
+    DiffRig rig;
+    for (const double edge : {1.0, 2.0}) {
+      // Nodes share phase deadlines: a batch of exact ties.
+      for (int i = 0; i < 20; ++i) rig.schedule(edge);
+      rig.schedule(std::nextafter(edge, 0.0));
+      rig.schedule(std::nextafter(edge, 4.0));
+      for (int i = 0; i < 100; ++i) rig.schedule(edge + rng.uniform(-0.1, 0.1));
+    }
+    std::function<void()> churn = [&] {
+      const double now = rig.sched.now().seconds();
+      if (now > 2.2) return;
+      if (rng.below(50) == 0) rig.schedule(now + rng.uniform(0.1, 10.0));
+      rig.schedule(now + rng.uniform(1e-6, 1e-3), churn);
+    };
+    for (int c = 0; c < 8; ++c) rig.schedule(rng.uniform(0.85, 0.95), churn);
+    rig.sched.run();
+    EXPECT_EQ(rig.fired, reference_order(rig.ref)) << "trial " << trial;
+    EXPECT_EQ(rig.sched.pending(), 0u);
+  }
+}
+
+TEST(SchedulerPropertyTest, CancelOfBucketedEventsUnderChurn) {
+  // Far timers sit in the radix buckets while near events fire; cancel
+  // random ones — pending, already fired, already cancelled — from
+  // inside callbacks, the way the MAC cancels ACK timers, and keep
+  // pending() honest throughout.
+  Rng rng(0xCA9CE1);
+  for (int trial = 0; trial < 10; ++trial) {
+    DiffRig rig;
+    for (int i = 0; i < 400; ++i) rig.schedule(rng.uniform(0.1, 10.0));
+    std::function<void()> churn = [&] {
+      const double now = rig.sched.now().seconds();
+      for (int k = 0; k < 3; ++k) rig.cancel(rng.below(rig.ref.size()));
+      EXPECT_EQ(rig.sched.pending(), rig.live());
+      if (now < 6.0) rig.schedule(now + rng.uniform(1e-5, 1e-2), churn);
+    };
+    for (int c = 0; c < 4; ++c) rig.schedule(rng.uniform(0.0, 0.05), churn);
+    rig.sched.run();
+    EXPECT_EQ(rig.fired, reference_order(rig.ref)) << "trial " << trial;
+  }
+}
+
+TEST(SchedulerPropertyTest, ScheduleBelowAPeekedKey) {
+  // The sharded gate peeks every shard (next_key / next_time), which
+  // may move the queue's origin up to the peeked event, and then runs
+  // events that schedule on the peeked shard below that key. Those
+  // events must still fire first, and same-instant ties with the
+  // peeked event must keep schedule order.
+  Rng rng(0x9A7E);
+  for (int trial = 0; trial < 25; ++trial) {
+    DiffRig rig;
+    for (int i = 0; i < 50; ++i) rig.schedule(rng.uniform(1.0, 3.0));
+    while (rig.sched.has_next()) {
+      const EventKey peeked = rig.sched.next_key();
+      EXPECT_EQ(rig.sched.next_time(), peeked.at);
+      const double lo = rig.sched.now().seconds();
+      const double hi = peeked.at.seconds();
+      for (int k = 0; k < 3; ++k) {
+        switch (rng.below(3)) {
+          case 0: rig.schedule(lo + (hi - lo) * rng.uniform()); break;
+          case 1: rig.schedule(hi); break;  // ties the peeked event
+          default: rig.schedule(hi + rng.uniform(0.0, 0.5)); break;
+        }
+      }
+      EXPECT_FALSE(peeked < rig.sched.next_key());
+      ASSERT_TRUE(rig.sched.run_one());
+      if (rig.ref.size() > 600) break;
+    }
+    rig.sched.run();
+    EXPECT_EQ(rig.fired, reference_order(rig.ref)) << "trial " << trial;
+  }
+}
+
+TEST(SchedulerPropertyTest, NegativeZeroTiesPositiveZero) {
+  // -0.0 == +0.0 as a time, so the two tie and resolve by schedule
+  // order — also for events scheduled after a peek, and for a -0.0
+  // scheduled while later events are already queued.
+  DiffRig rig;
+  rig.schedule(0.5);
+  rig.schedule(-0.0);
+  rig.schedule(0.0);
+  rig.schedule(-0.0, [&] { rig.schedule(0.0); rig.schedule(-0.0); });
+  EXPECT_EQ(rig.sched.next_time(), seconds(0.0));
+  rig.schedule(0.0);
+  rig.schedule(-0.0);
+  rig.schedule(1e-300);
+  rig.sched.run();
+  EXPECT_EQ(rig.fired, reference_order(rig.ref));
+  EXPECT_EQ(rig.fired, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 7, 8, 6, 0}));
+}
+
+TEST(SchedulerPropertyTest, ResetMidRunDropsBucketedEvents) {
+  // reset() in the middle of a run, with far timers still bucketed and
+  // the origin moved past the clock by a peek: nothing from before the
+  // reset may fire, its ids stay no-ops, and a fresh workload below
+  // the old origin runs in order.
+  Rng rng(0x4E5E7);
+  Scheduler sched;
+  std::vector<EventId> old_ids;
+  int old_fired = 0;
+  for (int i = 0; i < 300; ++i) {
+    old_ids.push_back(sched.at(seconds(rng.uniform(0.0, 8.0)), [&old_fired] { ++old_fired; }));
+  }
+  sched.run_until(seconds(2.0));
+  const int fired_before_reset = old_fired;
+  EXPECT_GT(sched.next_time(), seconds(2.0));  // the peek moves the origin
+  sched.reset();
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_FALSE(sched.has_next());
+  for (const EventId id : old_ids) EXPECT_FALSE(sched.cancel(id));
+
+  std::vector<std::uint64_t> fired;
+  std::vector<RefEvent> ref;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const double t = rng.uniform(0.0, 4.0);
+    ref.push_back({t, i});
+    sched.at(seconds(t), [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_EQ(sched.pending(), 300u);
+  sched.run();
+  EXPECT_EQ(old_fired, fired_before_reset);
+  EXPECT_EQ(fired, reference_order(ref));
 }
 
 }  // namespace
