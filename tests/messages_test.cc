@@ -1,6 +1,12 @@
 // Wire round-trips for every protocol message.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
+
+#include "core/cpda_algebra.h"
 #include "proto/messages.h"
 
 namespace icpda::proto {
@@ -150,6 +156,173 @@ TEST(MessagesTest, SliceRoundTrip) {
   auto s2 = SliceMsg::from_bytes(s.to_bytes());
   ASSERT_TRUE(s2);
   EXPECT_EQ(s2->sealed, s.sealed);
+}
+
+std::string hex(const net::Bytes& b) {
+  std::string out;
+  char byte[3];
+  for (const std::uint8_t x : b) {
+    std::snprintf(byte, sizeof byte, "%02x", x);
+    out += byte;
+  }
+  return out;
+}
+
+// One fixed instance of every wire format, and of the six freshness-
+// gated types once more with the epoch-tag trailer, against checked-in
+// bytes. Every field holds a distinct multi-byte value, so a codec that
+// reorders, resizes or drops a field fails here.
+TEST(MessagesTest, WireBytesArePinned) {
+  constexpr std::uint32_t kTag = 0xA1B2C3D4;
+  const Aggregate agg{3.0, -12.5, 0.125};
+  const Aggregate agg2{1.0, 2.0, 4.0};
+
+  HelloMsg hello;
+  hello.query_id = 0x01020304;
+  hello.hop = 0x0506;
+  hello.allowed_mask = {0x0F, 0xF0, 0x81};
+  TagReportMsg tag_report;
+  tag_report.query_id = 0x11121314;
+  tag_report.reporter = 0x15161718;
+  tag_report.aggregate = agg;
+  ReportMsg report;
+  report.query_id = 0x21222324;
+  report.reporter = 0x25262728;
+  report.aggregate = agg.merged(agg2);
+  report.items = {{0x29, agg}, {0x2A2B, agg2}};
+  ClusterHelloMsg cluster_hello;
+  cluster_hello.query_id = 0x31323334;
+  cluster_hello.head = 0x35363738;
+  cluster_hello.hop = 0x393A;
+  JoinMsg join;
+  join.query_id = 0x41424344;
+  join.member = 0x45464748;
+  join.head = 0x494A4B4C;
+  ClusterRosterMsg roster;
+  roster.query_id = 0x51525354;
+  roster.head = 0x55565758;
+  roster.round = 0x59;
+  roster.members = {0x5A, 0x5B5C};
+  roster.seeds = {2, 1};
+  ShareMsg share;
+  share.query_id = 0x61626364;
+  share.sender = 0x65666768;
+  share.recipient = 0x696A6B6C;
+  share.sealed = {0x6D, 0x6E, 0x6F};
+  FAnnounceMsg announce;
+  announce.query_id = 0x71727374;
+  announce.member = 0x75767778;
+  announce.head = 0x797A7B7C;
+  announce.round = 0x7D;
+  announce.f = agg;
+  announce.contributors = {0x7E, 0x7F80};
+  ClusterDigestMsg digest;
+  digest.query_id = 0x81828384;
+  digest.head = 0x85868788;
+  digest.members = {0x89, 0x8A8B};
+  digest.f_values = {agg, agg2};
+  digest.contributors = {0x8C8D8E8F};
+  AlarmMsg alarm;
+  alarm.query_id = 0x91929394;
+  alarm.kind = AlarmMsg::kDropSuspect;
+  alarm.witness = 0x95969798;
+  alarm.accused = 0x999A9B9C;
+  alarm.expected_sum = 99.5;
+  alarm.observed_sum = -42.25;
+  SliceMsg slice;
+  slice.query_id = 0xA1A2A3A4;
+  slice.sender = 0xA5A6A7A8;
+  slice.recipient = 0xA9AAABAC;
+  slice.sealed = {0xAD, 0xAE};
+  core::ShareBody body;
+  body.query_id = 0xB1B2B3B4;
+  body.round = 0xB5;
+  body.share = agg;
+
+  const auto tagged = [](auto msg) {
+    msg.epoch_tag = kTag;
+    return msg.to_bytes();
+  };
+  const std::pair<const char*, net::Bytes> wires[] = {
+      {"hello", hello.to_bytes()},
+      {"tag_report", tag_report.to_bytes()},
+      {"report", report.to_bytes()},
+      {"report+tag", tagged(report)},
+      {"cluster_hello", cluster_hello.to_bytes()},
+      {"join", join.to_bytes()},
+      {"roster", roster.to_bytes()},
+      {"roster+tag", tagged(roster)},
+      {"share", share.to_bytes()},
+      {"share+tag", tagged(share)},
+      {"f_announce", announce.to_bytes()},
+      {"f_announce+tag", tagged(announce)},
+      {"digest", digest.to_bytes()},
+      {"digest+tag", tagged(digest)},
+      {"alarm", alarm.to_bytes()},
+      {"alarm+tag", tagged(alarm)},
+      {"slice", slice.to_bytes()},
+      {"share_body", body.to_bytes()},
+      {"share_body+tag", tagged(body)},
+  };
+  const char* const pinned[] = {
+      // hello
+      "040302010605030000000ff081",
+      // tag_report
+      "1413121118171615000000000000084000000000000029c0000000000000c03f",
+      // report
+      "2423222128272625000000000000104000000000000025c00000000000801040"
+      "0200000029000000000000000000084000000000000029c0000000000000c03f"
+      "2b2a0000000000000000f03f00000000000000400000000000001040",
+      // report+tag
+      "2423222128272625000000000000104000000000000025c00000000000801040"
+      "0200000029000000000000000000084000000000000029c0000000000000c03f"
+      "2b2a0000000000000000f03f00000000000000400000000000001040e9d4c3b2"
+      "a1",
+      // cluster_hello
+      "34333231383736353a39",
+      // join
+      "44434241484746454c4b4a49",
+      // roster
+      "545352515857565559020000005a0000005c5b00000200000002000000010000"
+      "00",
+      // roster+tag
+      "545352515857565559020000005a0000005c5b00000200000002000000010000"
+      "00e9d4c3b2a1",
+      // share
+      "64636261686766656c6b6a69030000006d6e6f",
+      // share+tag
+      "64636261686766656c6b6a69030000006d6e6fe9d4c3b2a1",
+      // f_announce
+      "74737271787776757c7b7a797d000000000000084000000000000029c0000000"
+      "000000c03f020000007e000000807f0000",
+      // f_announce+tag
+      "74737271787776757c7b7a797d000000000000084000000000000029c0000000"
+      "000000c03f020000007e000000807f0000e9d4c3b2a1",
+      // digest
+      "848382818887868502000000890000008b8a0000020000000000000000000840"
+      "00000000000029c0000000000000c03f000000000000f03f0000000000000040"
+      "0000000000001040010000008f8e8d8c",
+      // digest+tag
+      "848382818887868502000000890000008b8a0000020000000000000000000840"
+      "00000000000029c0000000000000c03f000000000000f03f0000000000000040"
+      "0000000000001040010000008f8e8d8ce9d4c3b2a1",
+      // alarm
+      "9493929101989796959c9b9a990000000000e0584000000000002045c0",
+      // alarm+tag
+      "9493929101989796959c9b9a990000000000e0584000000000002045c0e9d4c3"
+      "b2a1",
+      // slice
+      "a4a3a2a1a8a7a6a5acabaaa902000000adae",
+      // share_body
+      "b4b3b2b1b5000000000000084000000000000029c0000000000000c03f",
+      // share_body+tag
+      "b4b3b2b1b5000000000000084000000000000029c0000000000000c03fe9d4c3"
+      "b2a1",
+  };
+  ASSERT_EQ(std::size(pinned), std::size(wires));
+  for (std::size_t i = 0; i < std::size(wires); ++i) {
+    EXPECT_EQ(hex(wires[i].second), pinned[i]) << wires[i].first;
+  }
 }
 
 TEST(MessagesTest, MalformedBytesYieldNullopt) {
