@@ -20,23 +20,7 @@ struct SliceBody {
   std::uint32_t query_id = 0;
   Aggregate slice;
 
-  [[nodiscard]] net::Bytes to_bytes() const {
-    net::WireWriter w;
-    w.u32(query_id);
-    slice.write(w);
-    return std::move(w).take();
-  }
-  [[nodiscard]] static std::optional<SliceBody> from_bytes(const net::Bytes& b) {
-    try {
-      net::WireReader r(b);
-      SliceBody body;
-      body.query_id = r.u32();
-      body.slice = Aggregate::read(r);
-      return body;
-    } catch (const net::WireError&) {
-      return std::nullopt;
-    }
-  }
+  static auto fields(auto& m, auto&& f) { return f(m.query_id, m.slice); }
 };
 
 }  // namespace
@@ -141,7 +125,7 @@ void SmartApp::send_slices(net::Node& node) {
     msg.query_id = config_.query_id;
     msg.sender = node.id();
     msg.recipient = target;
-    crypto::seal_into(*key, node.rng()(), body.to_bytes(), msg.sealed);
+    crypto::seal_into(*key, node.rng()(), proto::encode(body), msg.sealed);
     node.send(target, proto::kSmartSlice, msg.to_bytes());
     node.metrics().add("smart.slice_sent");
   }
@@ -161,7 +145,7 @@ void SmartApp::handle_slice(net::Node& node, const net::Frame& frame) {
     node.metrics().add("smart.bad_slice_auth");
     return;
   }
-  const auto body = SliceBody::from_bytes(opened);
+  const auto body = proto::decode<SliceBody>(opened);
   if (!body || body->query_id != config_.query_id) return;
   pending_.merge(body->slice);
   node.metrics().add("smart.slice_received");

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
-
-#include "proto/messages.h"
 
 namespace icpda::core {
 
@@ -112,44 +109,6 @@ std::optional<proto::Aggregate> solve_cluster_sum(
     v.sum_sq += w[j] * assembled[j].sum_sq;
   }
   return v;
-}
-
-// ---------------------------------------------------------------------
-
-net::Bytes ShareBody::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u8(round);
-  share.write(w);
-  proto::write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-void ShareBody::patch_share(net::Bytes& bytes, const proto::Aggregate& share) {
-  const auto put = [&bytes](std::size_t off, double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    for (std::size_t i = 0; i < 8; ++i) {
-      bytes[off + i] = static_cast<std::uint8_t>(bits >> (8 * i));
-    }
-  };
-  put(kShareOffset, share.count);
-  put(kShareOffset + 8, share.sum);
-  put(kShareOffset + 16, share.sum_sq);
-}
-
-std::optional<ShareBody> ShareBody::from_bytes(const net::Bytes& b) {
-  try {
-    net::WireReader r(b);
-    ShareBody body;
-    body.query_id = r.u32();
-    body.round = r.u8();
-    body.share = proto::Aggregate::read(r);
-    body.epoch_tag = proto::read_epoch_tag(r);
-    return body;
-  } catch (const net::WireError&) {
-    return std::nullopt;
-  }
 }
 
 }  // namespace icpda::core

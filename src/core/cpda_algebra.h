@@ -22,8 +22,8 @@
 #include <optional>
 #include <vector>
 
-#include "net/wire.h"
 #include "proto/aggregate.h"
+#include "proto/codec.h"
 #include "sim/rng.h"
 
 namespace icpda::core {
@@ -60,7 +60,7 @@ void make_shares_into(const proto::Aggregate& value, const std::vector<double>& 
 // ---------------------------------------------------------------------
 // Wire body of one encrypted share message (sealed inside ShareMsg).
 
-struct ShareBody {
+struct ShareBody : proto::WireFormat<ShareBody> {
   std::uint32_t query_id = 0;
   /// Phase II round the share was cut for (0 = normal, 1 = recovery
   /// re-share after a member crash). Shares from different rounds come
@@ -68,24 +68,30 @@ struct ShareBody {
   /// round rides inside the sealed body so it is authenticated.
   std::uint8_t round = 0;
   proto::Aggregate share;
-  /// Epoch-freshness tag (proto::write_epoch_tag trailer; 0 = untagged).
+  /// Epoch-freshness tag (proto::EpochTagTrailer; 0 = untagged).
   /// Unlike the frame-level trailer this copy is under the seal, so a
   /// replayed share cannot be re-stamped by an attacker without the
   /// pairwise key.
   std::uint32_t epoch_tag = 0;
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<ShareBody> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.round, m.share, proto::EpochTagTrailer{m.epoch_tag});
+  }
 
-  /// Byte offset of `share` inside to_bytes() output: u32 query_id (4)
-  /// + u8 round (1). The epoch-tag trailer, if any, follows the triple.
-  static constexpr std::size_t kShareOffset = 5;
+  /// Byte offset of `share` inside to_bytes() output (after query_id
+  /// and round). The epoch-tag trailer, if any, follows the triple.
+  static const std::size_t kShareOffset;
   /// Overwrite the 24-byte share triple inside an already-serialized
   /// body. Lets the sender serialize the (query_id, round, epoch_tag)
   /// template once per cluster round and patch only the per-peer share
   /// — the bytes equal a fresh to_bytes() for every peer, which the
   /// fuzz/differential suites pin. `bytes` must come from to_bytes().
-  static void patch_share(net::Bytes& bytes, const proto::Aggregate& share);
+  static void patch_share(net::Bytes& bytes, const proto::Aggregate& share) {
+    proto::encode_at(bytes, kShareOffset, share);
+  }
 };
+
+inline constexpr std::size_t ShareBody::kShareOffset = proto::field_offset<ShareBody, 2>();
+static_assert(ShareBody::kShareOffset == 5);
 
 }  // namespace icpda::core

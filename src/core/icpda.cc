@@ -483,33 +483,22 @@ void IcpdaApp::schedule_round(net::Node& node) {
 }
 
 void IcpdaApp::handle_roster(net::Node& node, const net::Frame& frame) {
-  // Header peek before the full parse (two u32_vec allocations): the
-  // (query_id, head, round) prefix sits at fixed offsets, and a
+  // Header peek before the full parse (two vector allocations): a
   // round-0 roster only matters to an unrostered member that chose
-  // this head. Every discard branch below runs before any side
-  // effect, so returning on the peeked fields is observationally
-  // identical; short payloads fall through to the parse, which
-  // rejects them exactly as before.
-  if (frame.payload.size() >= 9) {
-    net::WireReader peek(frame.payload);
-    const std::uint32_t query_id = peek.u32();
-    const net::NodeId head = peek.u32();
-    const std::uint8_t round = peek.u8();
-    if (query_id != config_.query_id) return;
-    if (round == 0 && (role_ != ClusterRole::kMember || head != chosen_head_ ||
-                       cluster_.has_roster())) {
-      return;
-    }
+  // this head. Nothing above the parse has a side effect, and a
+  // payload too short for the header fails the parse too.
+  const auto header = proto::decode_prefix<ClusterRosterMsg, 3>(frame.payload);
+  if (!header || header->query_id != config_.query_id) return;
+  if (header->round == 0 && (role_ != ClusterRole::kMember ||
+                             header->head != chosen_head_ || cluster_.has_roster())) {
+    return;
   }
   const auto roster = ClusterRosterMsg::from_bytes(frame.payload);
-  if (!roster || roster->query_id != config_.query_id) return;
+  if (!roster) return;
   if (roster->round > 0) {
     handle_recovery_roster(node, *roster);
     return;
   }
-  if (role_ != ClusterRole::kMember) return;
-  if (roster->head != chosen_head_) return;
-  if (cluster_.has_roster()) return;
 
   if (std::find(roster->members.begin(), roster->members.end(), node.id()) ==
       roster->members.end()) {
@@ -641,7 +630,9 @@ void IcpdaApp::send_shares(net::Node& node) {
   // per actually-sent share in member order) match the old per-share
   // loop exactly — pinned by CryptoBatchTest and the golden traces.
   keys_->link_keys(node.id(), members, link_keys_scratch_);
-  ShareBody body{config_.query_id, phase2_round_, proto::Aggregate{}};
+  ShareBody body;
+  body.query_id = config_.query_id;
+  body.round = phase2_round_;
   body.epoch_tag = config_.hardening.epoch_tag;
   net::Bytes body_bytes = body.to_bytes();
   ShareMsg msg;
@@ -926,12 +917,14 @@ void IcpdaApp::handle_digest(net::Node& node, const net::Frame& frame) {
   // Header peek mirroring handle_roster: without the crosscheck sweep
   // only our own head's digest can matter, and with overhear degrees
   // of ~45 almost every digest heard belongs to a foreign cluster.
-  // The peeked checks replicate the first two discard branches below,
-  // which run before any side effect.
-  if (!config_.hardening.digest_crosscheck && frame.payload.size() >= 8) {
-    net::WireReader peek(frame.payload);
-    if (peek.u32() != config_.query_id) return;
-    if (peek.u32() != cluster_.head()) return;
+  // The peeked checks replicate discard branches below, which run
+  // before any side effect.
+  if (!config_.hardening.digest_crosscheck) {
+    const auto header = proto::decode_prefix<ClusterDigestMsg, 2>(frame.payload);
+    if (!header || header->query_id != config_.query_id ||
+        header->head != cluster_.head()) {
+      return;
+    }
   }
   const auto digest = ClusterDigestMsg::from_bytes(frame.payload);
   if (!digest || digest->query_id != config_.query_id) return;
@@ -1440,22 +1433,14 @@ void IcpdaApp::raise_alarm(net::Node& node, net::NodeId accused,
 
 void IcpdaApp::handle_alarm(net::Node& node, const net::Frame& frame) {
   // An alarm flood re-delivers one (witness, accused) pair roughly
-  // `degree` times per node, and the dedupe below drops repeats before
-  // touching any state. AlarmMsg::from_bytes is
-  // side-effect-free, so peek the fixed-offset header (query_id @0,
-  // kind @4, witness @5, accused @9) and drop copies that cannot
-  // change state before paying for the full decode.
-  if (frame.payload.size() >= 13) {
-    net::WireReader peek(frame.payload);
-    if (peek.u32() != config_.query_id) return;
-    peek.u8();
-    const net::NodeId witness = peek.u32();
-    const net::NodeId accused = peek.u32();
-    if (alarms_forwarded_.contains({witness, accused})) return;
-  }
+  // `degree` times per node: peek the (query_id, kind, witness,
+  // accused) header and drop repeats before the full decode.
+  const auto header = proto::decode_prefix<AlarmMsg, 4>(frame.payload);
+  if (!header || header->query_id != config_.query_id) return;
+  if (alarms_forwarded_.contains({header->witness, header->accused})) return;
   const auto alarm = AlarmMsg::from_bytes(frame.payload);
-  if (!alarm || alarm->query_id != config_.query_id) return;
-  if (!alarms_forwarded_.insert({alarm->witness, alarm->accused})) return;
+  if (!alarm) return;
+  alarms_forwarded_.insert({alarm->witness, alarm->accused});
   // Every further copy of this flood carries the same payload and dies
   // at the peek above: let the channel stop them (Channel::hold_flood).
   node.hold_flood(frame.flood);

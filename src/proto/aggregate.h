@@ -8,10 +8,8 @@
 // makes in-network aggregation order-insensitive.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
-
-#include "net/wire.h"
 
 namespace icpda::proto {
 
@@ -53,18 +51,8 @@ struct Aggregate {
 
   friend bool operator==(const Aggregate&, const Aggregate&) = default;
 
-  void write(net::WireWriter& w) const {
-    w.f64(count);
-    w.f64(sum);
-    w.f64(sum_sq);
-  }
-  [[nodiscard]] static Aggregate read(net::WireReader& r) {
-    Aggregate a;
-    a.count = r.f64();
-    a.sum = r.f64();
-    a.sum_sq = r.f64();
-    return a;
-  }
+  /// Wire fields, in order (proto/codec.h).
+  static auto fields(auto& m, auto&& f) { return f(m.count, m.sum, m.sum_sq); }
 };
 
 /// Power-mean approximation of max over positive readings:

@@ -2,349 +2,30 @@
 
 namespace icpda::proto {
 
-namespace {
-/// Wrap a deserializer body so a truncated/malformed payload becomes
-/// nullopt (protocol layers drop malformed frames, they never throw
-/// across the MAC boundary).
-template <typename T, typename Fn>
-std::optional<T> parse(const net::Bytes& b, Fn&& body) {
-  try {
-    net::WireReader r(b);
-    T msg = body(r);
-    return msg;
-  } catch (const net::WireError&) {
-    return std::nullopt;
-  }
-}
-
-/// Guard a wire-supplied element count against the bytes actually left
-/// in the buffer before allocating: a hostile length prefix must yield
-/// a clean parse failure, not a giant reserve().
-void check_count(const net::WireReader& r, std::uint32_t n,
-                 std::size_t min_elem_bytes) {
-  if (static_cast<std::uint64_t>(n) * min_elem_bytes > r.remaining()) {
-    throw net::WireError("element count exceeds remaining payload");
-  }
-}
-}  // namespace
-
 // ---- QueryId wire invariant -----------------------------------------
 
 std::uint32_t peek_query_id(const net::Bytes& payload) {
   if (payload.size() < kQueryIdBytes) return 0;
-  return static_cast<std::uint32_t>(payload[0]) |
-         static_cast<std::uint32_t>(payload[1]) << 8 |
-         static_cast<std::uint32_t>(payload[2]) << 16 |
-         static_cast<std::uint32_t>(payload[3]) << 24;
+  return codec::load_le<std::uint32_t>(payload.data());
 }
 
 // ---- Epoch-freshness tag --------------------------------------------
 
-void write_epoch_tag(net::WireWriter& w, std::uint32_t tag) {
-  if (tag == 0) return;
-  w.u8(kEpochTagMarker);
-  w.u32(tag);
-}
-
-std::uint32_t read_epoch_tag(net::WireReader& r) {
-  // Exactly one trailer must remain: anything else is either an
-  // untagged encoding (remaining == 0) or trailing junk the decoders
-  // tolerate for forward compatibility.
-  if (r.remaining() != kEpochTagBytes) return 0;
-  if (r.u8() != kEpochTagMarker) return 0;
-  return r.u32();
-}
-
 std::uint32_t peek_epoch_tag(const net::Bytes& payload) {
   const std::size_t n = payload.size();
-  if (n < kEpochTagBytes || payload[n - 5] != kEpochTagMarker) return 0;
-  return static_cast<std::uint32_t>(payload[n - 4]) |
-         static_cast<std::uint32_t>(payload[n - 3]) << 8 |
-         static_cast<std::uint32_t>(payload[n - 2]) << 16 |
-         static_cast<std::uint32_t>(payload[n - 1]) << 24;
+  if (n < kEpochTagBytes || payload[n - kEpochTagBytes] != kEpochTagMarker) return 0;
+  return codec::load_le<std::uint32_t>(payload.data() + n - 4);
 }
 
 bool epoch_tag_stale(const net::Bytes& payload, std::uint32_t expected) {
   return expected != 0 && peek_epoch_tag(payload) != expected;
 }
 
-// ---- HelloMsg -------------------------------------------------------
+// ---- Participation mask ---------------------------------------------
 
-net::Bytes HelloMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u16(hop);
-  w.blob(allowed_mask);
-  return std::move(w).take();
-}
-
-std::optional<HelloMsg> HelloMsg::from_bytes(const net::Bytes& b) {
-  return parse<HelloMsg>(b, [](net::WireReader& r) {
-    HelloMsg m;
-    m.query_id = r.u32();
-    m.hop = r.u16();
-    m.allowed_mask = r.blob();
-    return m;
-  });
-}
-
-void HelloMsg::set_allowed(net::NodeId id, std::size_t universe) {
-  if (allowed_mask.empty()) allowed_mask.assign((universe + 7) / 8, 0);
-  allowed_mask.at(id / 8) |= static_cast<std::uint8_t>(1u << (id % 8));
-}
-
-// ---- TagReportMsg ---------------------------------------------------
-
-net::Bytes TagReportMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(reporter);
-  aggregate.write(w);
-  return std::move(w).take();
-}
-
-std::optional<TagReportMsg> TagReportMsg::from_bytes(const net::Bytes& b) {
-  return parse<TagReportMsg>(b, [](net::WireReader& r) {
-    TagReportMsg m;
-    m.query_id = r.u32();
-    m.reporter = r.u32();
-    m.aggregate = Aggregate::read(r);
-    return m;
-  });
-}
-
-// ---- ReportMsg ------------------------------------------------------
-
-net::Bytes ReportMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(reporter);
-  aggregate.write(w);
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& item : items) {
-    w.u32(item.id);
-    item.value.write(w);
-  }
-  write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-std::optional<ReportMsg> ReportMsg::from_bytes(const net::Bytes& b) {
-  return parse<ReportMsg>(b, [](net::WireReader& r) {
-    ReportMsg m;
-    m.query_id = r.u32();
-    m.reporter = r.u32();
-    m.aggregate = Aggregate::read(r);
-    const std::uint32_t n = r.u32();
-    check_count(r, n, /*min_elem_bytes=*/28);  // u32 id + 3x f64 triple
-    m.items.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ReportItem item;
-      item.id = r.u32();
-      item.value = Aggregate::read(r);
-      m.items.push_back(item);
-    }
-    m.epoch_tag = read_epoch_tag(r);
-    return m;
-  });
-}
-
-// ---- ClusterHelloMsg ------------------------------------------------
-
-net::Bytes ClusterHelloMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(head);
-  w.u16(hop);
-  return std::move(w).take();
-}
-
-std::optional<ClusterHelloMsg> ClusterHelloMsg::from_bytes(const net::Bytes& b) {
-  return parse<ClusterHelloMsg>(b, [](net::WireReader& r) {
-    ClusterHelloMsg m;
-    m.query_id = r.u32();
-    m.head = r.u32();
-    m.hop = r.u16();
-    return m;
-  });
-}
-
-// ---- JoinMsg --------------------------------------------------------
-
-net::Bytes JoinMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(member);
-  w.u32(head);
-  return std::move(w).take();
-}
-
-std::optional<JoinMsg> JoinMsg::from_bytes(const net::Bytes& b) {
-  return parse<JoinMsg>(b, [](net::WireReader& r) {
-    JoinMsg m;
-    m.query_id = r.u32();
-    m.member = r.u32();
-    m.head = r.u32();
-    return m;
-  });
-}
-
-// ---- ClusterRosterMsg -----------------------------------------------
-
-net::Bytes ClusterRosterMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(head);
-  w.u8(round);
-  w.u32_vec(members);
-  w.u32_vec(seeds);
-  write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-std::optional<ClusterRosterMsg> ClusterRosterMsg::from_bytes(const net::Bytes& b) {
-  return parse<ClusterRosterMsg>(b, [](net::WireReader& r) {
-    ClusterRosterMsg m;
-    m.query_id = r.u32();
-    m.head = r.u32();
-    m.round = r.u8();
-    m.members = r.u32_vec();
-    m.seeds = r.u32_vec();
-    m.epoch_tag = read_epoch_tag(r);
-    return m;
-  });
-}
-
-// ---- ShareMsg -------------------------------------------------------
-
-net::Bytes ShareMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(sender);
-  w.u32(recipient);
-  w.blob(sealed);
-  write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-std::optional<ShareMsg> ShareMsg::from_bytes(const net::Bytes& b) {
-  return parse<ShareMsg>(b, [](net::WireReader& r) {
-    ShareMsg m;
-    m.query_id = r.u32();
-    m.sender = r.u32();
-    m.recipient = r.u32();
-    m.sealed = r.blob();
-    m.epoch_tag = read_epoch_tag(r);
-    return m;
-  });
-}
-
-// ---- FAnnounceMsg ---------------------------------------------------
-
-net::Bytes FAnnounceMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(member);
-  w.u32(head);
-  w.u8(round);
-  f.write(w);
-  w.u32_vec(contributors);
-  write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-std::optional<FAnnounceMsg> FAnnounceMsg::from_bytes(const net::Bytes& b) {
-  return parse<FAnnounceMsg>(b, [](net::WireReader& r) {
-    FAnnounceMsg m;
-    m.query_id = r.u32();
-    m.member = r.u32();
-    m.head = r.u32();
-    m.round = r.u8();
-    m.f = Aggregate::read(r);
-    m.contributors = r.u32_vec();
-    m.epoch_tag = read_epoch_tag(r);
-    return m;
-  });
-}
-
-// ---- ClusterDigestMsg -----------------------------------------------
-
-net::Bytes ClusterDigestMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(head);
-  w.u32_vec(members);
-  w.u32(static_cast<std::uint32_t>(f_values.size()));
-  for (const auto& f : f_values) f.write(w);
-  w.u32_vec(contributors);
-  write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-std::optional<ClusterDigestMsg> ClusterDigestMsg::from_bytes(const net::Bytes& b) {
-  return parse<ClusterDigestMsg>(b, [](net::WireReader& r) {
-    ClusterDigestMsg m;
-    m.query_id = r.u32();
-    m.head = r.u32();
-    m.members = r.u32_vec();
-    const std::uint32_t n = r.u32();
-    check_count(r, n, /*min_elem_bytes=*/24);  // 3x f64 triple
-    m.f_values.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) m.f_values.push_back(Aggregate::read(r));
-    m.contributors = r.u32_vec();
-    m.epoch_tag = read_epoch_tag(r);
-    return m;
-  });
-}
-
-// ---- AlarmMsg -------------------------------------------------------
-
-net::Bytes AlarmMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u8(kind);
-  w.u32(witness);
-  w.u32(accused);
-  w.f64(expected_sum);
-  w.f64(observed_sum);
-  write_epoch_tag(w, epoch_tag);
-  return std::move(w).take();
-}
-
-std::optional<AlarmMsg> AlarmMsg::from_bytes(const net::Bytes& b) {
-  return parse<AlarmMsg>(b, [](net::WireReader& r) {
-    AlarmMsg m;
-    m.query_id = r.u32();
-    m.kind = r.u8();
-    m.witness = r.u32();
-    m.accused = r.u32();
-    m.expected_sum = r.f64();
-    m.observed_sum = r.f64();
-    m.epoch_tag = read_epoch_tag(r);
-    return m;
-  });
-}
-
-// ---- SliceMsg -------------------------------------------------------
-
-net::Bytes SliceMsg::to_bytes() const {
-  net::WireWriter w;
-  w.u32(query_id);
-  w.u32(sender);
-  w.u32(recipient);
-  w.blob(sealed);
-  return std::move(w).take();
-}
-
-std::optional<SliceMsg> SliceMsg::from_bytes(const net::Bytes& b) {
-  return parse<SliceMsg>(b, [](net::WireReader& r) {
-    SliceMsg m;
-    m.query_id = r.u32();
-    m.sender = r.u32();
-    m.recipient = r.u32();
-    m.sealed = r.blob();
-    return m;
-  });
+void mask_allow(net::Bytes& mask, net::NodeId id, std::size_t universe) {
+  if (mask.empty()) mask.assign((universe + 7) / 8, 0);
+  mask.at(id / 8) |= static_cast<std::uint8_t>(1u << (id % 8));
 }
 
 }  // namespace icpda::proto

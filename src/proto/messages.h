@@ -1,8 +1,12 @@
 // Protocol message catalogue: frame-type registry + typed payloads.
 //
-// Every protocol message in the repository is declared here with its
-// wire serialization, so byte accounting is consistent across TAG,
-// SMART and iCPDA, and tests can round-trip every message type.
+// Every protocol message in the repository is declared here, so byte
+// accounting is consistent across TAG, SMART and iCPDA, and tests can
+// round-trip every message type. Each payload struct lists its wire
+// fields once, in `fields()`; its to_bytes()/from_bytes() (WireFormat)
+// and the handlers' header peeks (decode_prefix) all derive from that
+// list through the one codec in proto/codec.h. The two sealed bodies,
+// core::ShareBody and SMART's slice body, use the same codec.
 #pragma once
 
 #include <cstdint>
@@ -10,8 +14,8 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "net/wire.h"
 #include "proto/aggregate.h"
+#include "proto/codec.h"
 
 namespace icpda::proto {
 
@@ -63,15 +67,9 @@ inline constexpr std::size_t kQueryIdBytes = 4;  // LE u32 payload prefix
 // and old decoders simply ignore the trailing bytes. The frame-level
 // tag is not MACed — it models an authenticated epoch counter (the
 // sealed ShareBody's copy IS under the link MAC); see DESIGN.md §5g
-// for the threat-model caveat.
+// for the threat-model caveat. Formats carry the trailer as their last
+// field, EpochTagTrailer (proto/codec.h).
 
-inline constexpr std::uint8_t kEpochTagMarker = 0xE9;
-inline constexpr std::size_t kEpochTagBytes = 5;  // marker + u32 tag
-
-/// Append the trailer (no-op when tag == 0).
-void write_epoch_tag(net::WireWriter& w, std::uint32_t tag);
-/// Consume a trailing tag iff the reader has exactly one trailer left.
-std::uint32_t read_epoch_tag(net::WireReader& r);
 /// Allocation-free peek at an encoded payload's tag (0 = untagged).
 [[nodiscard]] std::uint32_t peek_epoch_tag(const net::Bytes& payload);
 /// True iff `payload` fails the freshness gate for `expected`
@@ -86,36 +84,45 @@ std::uint32_t read_epoch_tag(net::WireReader& r);
          type == kClusterDigest || type == kClusterReport || type == kAlarm;
 }
 
+// ---- Participation mask ---------------------------------------------
+//
+// A bitset over node ids: bit id % 8 of byte id / 8. Empty means every
+// node participates; an id past the end of a non-empty mask does not.
+
+[[nodiscard]] inline bool mask_allows(const net::Bytes& mask, net::NodeId id) {
+  if (mask.empty()) return true;
+  const std::size_t byte = id / 8;
+  return byte < mask.size() && ((mask[byte] >> (id % 8)) & 1);
+}
+
+/// Set `id`'s bit; an empty mask is first sized for ids < `universe`.
+void mask_allow(net::Bytes& mask, net::NodeId id, std::size_t universe);
+
 /// Query flood message. `hop` counts from the base station; receivers
 /// adopt the first sender they hear as tree parent. `allowed_mask`
 /// optionally restricts which nodes may serve as aggregators/cluster
 /// heads this round (used by the bisection localizer; empty = all).
-struct HelloMsg {
+struct HelloMsg : WireFormat<HelloMsg> {
   std::uint32_t query_id = 0;
   std::uint16_t hop = 0;
   net::Bytes allowed_mask;  ///< bitset over node ids; empty = everyone
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<HelloMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) { return f(m.query_id, m.hop, m.allowed_mask); }
 
-  [[nodiscard]] bool allows(net::NodeId id) const {
-    if (allowed_mask.empty()) return true;
-    const std::size_t byte = id / 8;
-    if (byte >= allowed_mask.size()) return false;
-    return (allowed_mask[byte] >> (id % 8)) & 1;
+  [[nodiscard]] bool allows(net::NodeId id) const { return mask_allows(allowed_mask, id); }
+  void set_allowed(net::NodeId id, std::size_t universe) {
+    mask_allow(allowed_mask, id, universe);
   }
-  void set_allowed(net::NodeId id, std::size_t universe);
 };
 
 /// Lean aggregate report used by the TAG and SMART baselines (the
 /// paper's TAG carries no auditing metadata).
-struct TagReportMsg {
+struct TagReportMsg : WireFormat<TagReportMsg> {
   std::uint32_t query_id = 0;
   net::NodeId reporter = net::kNoNode;
   Aggregate aggregate;
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<TagReportMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) { return f(m.query_id, m.reporter, m.aggregate); }
 };
 
 /// iCPDA Phase III itemized report: the aggregating head lists every
@@ -131,9 +138,10 @@ struct ReportItem {
   net::NodeId id = net::kNoNode;
   Aggregate value;
   friend bool operator==(const ReportItem&, const ReportItem&) = default;
+  static auto fields(auto& m, auto&& f) { return f(m.id, m.value); }
 };
 
-struct ReportMsg {
+struct ReportMsg : WireFormat<ReportMsg> {
   std::uint32_t query_id = 0;
   net::NodeId reporter = net::kNoNode;
   Aggregate aggregate;  ///< total of `items`
@@ -148,35 +156,35 @@ struct ReportMsg {
 
   std::uint32_t epoch_tag = 0;  ///< freshness trailer (0 = untagged)
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<ReportMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.reporter, m.aggregate, m.items,
+             EpochTagTrailer{m.epoch_tag});
+  }
 };
 
 /// iCPDA Phase I: cluster-head announcement (carries hop so the CH
 /// overlay inherits tree depth information from the flood).
-struct ClusterHelloMsg {
+struct ClusterHelloMsg : WireFormat<ClusterHelloMsg> {
   std::uint32_t query_id = 0;
   net::NodeId head = net::kNoNode;
   std::uint16_t hop = 0;
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<ClusterHelloMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) { return f(m.query_id, m.head, m.hop); }
 };
 
 /// iCPDA Phase I: join request from a would-be member to a CH.
-struct JoinMsg {
+struct JoinMsg : WireFormat<JoinMsg> {
   std::uint32_t query_id = 0;
   net::NodeId member = net::kNoNode;
   net::NodeId head = net::kNoNode;
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<JoinMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) { return f(m.query_id, m.member, m.head); }
 };
 
 /// iCPDA Phase I: the CH fixes the cluster roster and the public,
 /// distinct, non-zero seeds x_i used by the share polynomials. Seeds
 /// are small integers (1..m permuted) — public by design.
-struct ClusterRosterMsg {
+struct ClusterRosterMsg : WireFormat<ClusterRosterMsg> {
   std::uint32_t query_id = 0;
   net::NodeId head = net::kNoNode;
   /// Phase II round this roster opens. 0 is the normal epoch roster;
@@ -188,29 +196,33 @@ struct ClusterRosterMsg {
   std::vector<std::uint32_t> seeds;    ///< same order as members
   std::uint32_t epoch_tag = 0;         ///< freshness trailer (0 = untagged)
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<ClusterRosterMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.head, m.round, m.members, m.seeds,
+             EpochTagTrailer{m.epoch_tag});
+  }
 };
 
 /// iCPDA Phase II: encrypted share carrier. The sealed blob decrypts
 /// (under the pairwise link key) to the share triple the CPDA algebra
 /// defines; `sender`/`recipient` ride in the clear like any link header.
-struct ShareMsg {
+struct ShareMsg : WireFormat<ShareMsg> {
   std::uint32_t query_id = 0;
   net::NodeId sender = net::kNoNode;
   net::NodeId recipient = net::kNoNode;
   net::Bytes sealed;  ///< crypto::seal_into of a ShareBody (see core/cpda_algebra.h)
   std::uint32_t epoch_tag = 0;  ///< freshness trailer (0 = untagged)
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<ShareMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.sender, m.recipient, m.sealed,
+             EpochTagTrailer{m.epoch_tag});
+  }
 };
 
 /// iCPDA Phase II: node j's assembled value F_j, sent to the cluster
 /// head in the clear (F values are public by design — the privacy of
 /// individual readings rests on the share randomness, not on hiding
 /// the assembled sums). Unicast so MAC ARQ covers it.
-struct FAnnounceMsg {
+struct FAnnounceMsg : WireFormat<FAnnounceMsg> {
   std::uint32_t query_id = 0;
   net::NodeId member = net::kNoNode;
   net::NodeId head = net::kNoNode;
@@ -225,8 +237,10 @@ struct FAnnounceMsg {
   std::vector<std::uint32_t> contributors;
   std::uint32_t epoch_tag = 0;  ///< freshness trailer (0 = untagged)
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<FAnnounceMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.member, m.head, m.round, m.f, m.contributors,
+             EpochTagTrailer{m.epoch_tag});
+  }
 };
 
 /// iCPDA Phase II: the head's consolidated view, broadcast to the
@@ -236,7 +250,7 @@ struct FAnnounceMsg {
 /// matches its own assembly — a forged entry is a provable lie and
 /// draws an alarm. Any endorser can interpolate the cluster sum from
 /// the vector, which is what arms the Phase III witnesses.
-struct ClusterDigestMsg {
+struct ClusterDigestMsg : WireFormat<ClusterDigestMsg> {
   std::uint32_t query_id = 0;
   net::NodeId head = net::kNoNode;
   std::vector<std::uint32_t> members;  ///< roster order
@@ -244,8 +258,10 @@ struct ClusterDigestMsg {
   std::vector<std::uint32_t> contributors;  ///< common contributor set
   std::uint32_t epoch_tag = 0;              ///< freshness trailer (0 = untagged)
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<ClusterDigestMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.head, m.members, m.f_values, m.contributors,
+             EpochTagTrailer{m.epoch_tag});
+  }
 };
 
 /// iCPDA Phase III: witness alarm, flooded toward the base station.
@@ -256,7 +272,7 @@ struct ClusterDigestMsg {
 /// parent swallow a report) are advisory: dropping is indistinguishable
 /// from loss at a single witness, so it feeds rerouting/reputation
 /// rather than rejection.
-struct AlarmMsg {
+struct AlarmMsg : WireFormat<AlarmMsg> {
   enum Kind : std::uint8_t { kValueTamper = 0, kDropSuspect = 1 };
 
   std::uint32_t query_id = 0;
@@ -267,19 +283,20 @@ struct AlarmMsg {
   double observed_sum = 0.0;
   std::uint32_t epoch_tag = 0;  ///< freshness trailer (0 = untagged)
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<AlarmMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.query_id, m.kind, m.witness, m.accused, m.expected_sum,
+             m.observed_sum, EpochTagTrailer{m.epoch_tag});
+  }
 };
 
 /// SMART/iPDA-style slicing baseline: encrypted slice carrier.
-struct SliceMsg {
+struct SliceMsg : WireFormat<SliceMsg> {
   std::uint32_t query_id = 0;
   net::NodeId sender = net::kNoNode;
   net::NodeId recipient = net::kNoNode;
   net::Bytes sealed;  ///< crypto::seal_into of one slice triple
 
-  [[nodiscard]] net::Bytes to_bytes() const;
-  [[nodiscard]] static std::optional<SliceMsg> from_bytes(const net::Bytes& b);
+  static auto fields(auto& m, auto&& f) { return f(m.query_id, m.sender, m.recipient, m.sealed); }
 };
 
 }  // namespace icpda::proto

@@ -94,7 +94,7 @@ struct HotLoop {
     announced.resize(kM);
     // Serialize the round's body template once; the loop only patches
     // the 24-byte share triple in place.
-    const core::ShareBody body{7, 0, proto::Aggregate{}, 0xC0FFEE};
+    const core::ShareBody body{{}, 7, 0, proto::Aggregate{}, 0xC0FFEE};
     body_bytes = body.to_bytes();
     // Counters pre-registered so the measured adds are pure lookups;
     // names long enough that a std::string round-trip would allocate.

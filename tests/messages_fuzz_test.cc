@@ -7,6 +7,7 @@
 // Labelled `slow` in CTest alongside the property suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -435,6 +436,90 @@ TEST(MessagesFuzzTest, PeekQueryIdAgreesWithEveryCodecAndNeverAllocates) {
   EXPECT_GT(sink, 0u);
   EXPECT_EQ(g_allocations.load(), before)
       << "peek_query_id allocated on the routing hot path";
+}
+
+/// Header-peek agreement for one (Msg, K): decode_prefix<Msg, K> reads
+/// exactly the first K fields. It succeeds iff the payload holds them,
+/// it succeeds wherever the full decode does (the handlers return on a
+/// failed peek), and its fields re-encode to the full decode's header
+/// bytes, i.e. it reads the same values.
+template <typename Msg, std::size_t K>
+void expect_prefix_agrees(const net::Bytes& wire, const char* name) {
+  constexpr std::size_t header = field_offset<Msg, K>();
+  const auto full = Msg::from_bytes(wire);
+  const auto head = decode_prefix<Msg, K>(wire);
+  ASSERT_EQ(head.has_value(), wire.size() >= header) << name << " len " << wire.size();
+  if (!full) return;
+  ASSERT_TRUE(head.has_value()) << name << ": peek rejects what the decode accepts";
+  const net::Bytes a = full->to_bytes();
+  const net::Bytes b = head->to_bytes();
+  EXPECT_TRUE(std::equal(a.begin(), a.begin() + header, b.begin())) << name;
+}
+
+template <typename Msg, std::size_t K>
+void fuzz_prefix(const Msg& valid, sim::Rng& rng, const char* name) {
+  const net::Bytes wire = valid.to_bytes();
+  for (std::size_t len = 0; len <= wire.size(); ++len) {
+    expect_prefix_agrees<Msg, K>(
+        net::Bytes(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len)), name);
+  }
+  for (int i = 0; i < 200; ++i) {
+    net::Bytes mut = wire;
+    mut[rng.below(mut.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    expect_prefix_agrees<Msg, K>(mut, name);
+    expect_prefix_agrees<Msg, K>(random_bytes(rng, 64), name);
+  }
+}
+
+// The handlers' header peeks (roster, digest, alarm) run on every copy
+// of a frame heard, before any full decode: they must agree with the
+// full decode on every valid encoding and never allocate.
+TEST(MessagesFuzzTest, HeaderPeeksAgreeWithTheFullDecodeAndNeverAllocate) {
+  sim::Rng rng(17);
+  ClusterRosterMsg roster;
+  roster.query_id = 0xABCD1234;
+  roster.head = 42;
+  roster.members = {42, 8, 9, 11};
+  roster.seeds = {1, 3, 2, 4};
+  ClusterDigestMsg digest;
+  digest.query_id = 6;
+  digest.head = 0x80000001;
+  digest.members = {42, 8, 9};
+  for (int i = 0; i < 3; ++i) digest.f_values.push_back(random_aggregate(rng));
+  digest.contributors = {8, 9, 42};
+  AlarmMsg alarm;
+  alarm.query_id = 7;
+  alarm.kind = AlarmMsg::kDropSuspect;
+  alarm.witness = 0xFFFFFFFE;
+  alarm.accused = 42;
+  alarm.expected_sum = 123.456;
+  std::vector<net::Bytes> wires;
+  for (const std::uint32_t tag : {0u, 0xDEADBEEFu}) {
+    for (const std::uint8_t round : {0, 1}) {
+      roster.round = round;
+      roster.epoch_tag = tag;
+      fuzz_prefix<ClusterRosterMsg, 3>(roster, rng, "roster");
+      wires.push_back(roster.to_bytes());
+    }
+    digest.epoch_tag = tag;
+    fuzz_prefix<ClusterDigestMsg, 2>(digest, rng, "digest");
+    wires.push_back(digest.to_bytes());
+    alarm.epoch_tag = tag;
+    fuzz_prefix<AlarmMsg, 4>(alarm, rng, "alarm");
+    wires.push_back(alarm.to_bytes());
+  }
+
+  const std::uint64_t before = g_allocations.load();
+  std::uint64_t sink = 0;
+  for (int round = 0; round < 1000; ++round) {
+    for (const net::Bytes& wire : wires) {
+      if (const auto h = decode_prefix<ClusterRosterMsg, 3>(wire)) sink += h->head + h->round;
+      if (const auto h = decode_prefix<ClusterDigestMsg, 2>(wire)) sink += h->head;
+      if (const auto h = decode_prefix<AlarmMsg, 4>(wire)) sink += h->witness + h->accused;
+    }
+  }
+  EXPECT_GT(sink, 0u);
+  EXPECT_EQ(g_allocations.load(), before) << "a header peek allocated";
 }
 
 // Legacy/untagged frames: encodings produced with the default query id
