@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sim/log.h"
 
 namespace icpda::baselines {
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "crypto/cipher.h"
-#include "sim/log.h"
 
 namespace icpda::core {
 
@@ -173,7 +172,6 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
   joined_ = true;
   parent_ = frame.src;
   hop_ = static_cast<std::uint16_t>(hello->hop + 1);
-  allowed_aggregator_ = true;
   join_time_ = node.now();
   node.metrics().add("icpda.joined_tree");
 
@@ -186,8 +184,8 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
   // node ignores the coin and grabs the aggregator role. In adaptive
   // mode the decision is deferred to decide_role so the density
   // estimate (hello_sources_) can accumulate during join_delay.
-  const bool grabs_role = attack_ && attack_->active() &&
-                          attack_->force_head && attack_->is_polluter(node.id());
+  const bool grabs_role =
+      attack_->active() && attack_->force_head && attack_->is_polluter(node.id());
   // Disclosure and pollution adversaries maximise the aggregator role;
   // withholders avoid it (they starve clusters from the member side).
   const bool adv_grabs = compromised(node) && adversary_->force_head &&
@@ -210,7 +208,7 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
 
 void IcpdaApp::become_head(net::Node& node) {
   role_ = ClusterRole::kHead;
-  if (outcome_) ++outcome_->heads;
+  ++outcome_->heads;
   node.metrics().add("icpda.head");
   ClusterHelloMsg msg;
   msg.query_id = config_.query_id;
@@ -297,7 +295,7 @@ void IcpdaApp::retry_or_give_up(net::Node& node) {
     return;
   }
   role_ = ClusterRole::kUnclustered;
-  if (outcome_) ++outcome_->unclustered;
+  ++outcome_->unclustered;
   node.metrics().add("icpda.unclustered");
 }
 
@@ -306,14 +304,6 @@ void IcpdaApp::decide_role(net::Node& node, std::uint32_t round) {
 
   if (!heard_heads_.empty()) {
     send_join(node);
-    return;
-  }
-
-  if (!allowed_aggregator_) {
-    // Barred from aggregating and no head in range: excluded.
-    role_ = ClusterRole::kUnclustered;
-    if (outcome_) ++outcome_->unclustered;
-    node.metrics().add("icpda.excluded_no_head");
     return;
   }
 
@@ -392,7 +382,7 @@ void IcpdaApp::close_roster(net::Node& node) {
   }
   for (const net::NodeId j : joiners_) roster.members.push_back(j);
   const std::size_t m = roster.members.size();
-  if (outcome_) ++outcome_->cluster_sizes[static_cast<std::uint32_t>(m)];
+  ++outcome_->cluster_sizes[static_cast<std::uint32_t>(m)];
   node.metrics().observe("icpda.cluster_size", static_cast<double>(m));
 
   if (m == 1) {
@@ -400,7 +390,7 @@ void IcpdaApp::close_roster(net::Node& node) {
     return;
   }
 
-  if (m < config_.min_cluster_size && outcome_) {
+  if (m < config_.min_cluster_size) {
     // The algebra still runs (m >= 2) but in-cluster peers can deduce
     // each other's values: privacy degraded for every member.
     outcome_->degraded_privacy += static_cast<std::uint32_t>(m);
@@ -433,11 +423,11 @@ void IcpdaApp::settle_lone_head(net::Node& node, bool recovery) {
     case SmallClusterPolicy::kClearReport:
       clear_report_ = true;
       cluster_value_ = Aggregate::of(readings_(node.id()));
-      if (outcome_) ++outcome_->degraded_privacy;
+      ++outcome_->degraded_privacy;
       node.metrics().add(recovery ? "icpda.recovery_lone_clear" : "icpda.lone_head_clear");
       break;
     case SmallClusterPolicy::kDrop:
-      if (outcome_) ++outcome_->clusters_failed;
+      ++outcome_->clusters_failed;
       node.metrics().add(recovery ? "icpda.recovery_lone_dropped"
                                   : "icpda.lone_head_dropped");
       break;
@@ -515,7 +505,7 @@ void IcpdaApp::handle_roster(net::Node& node, const net::Frame& frame) {
     // (Compromised members skip this — the attacker does not police
     // itself.)
     node.metrics().add("icpda.roster_refused");
-    if (outcome_) ++outcome_->rosters_refused;
+    ++outcome_->rosters_refused;
     node.tracer().counter(node.id(), sim::TraceCounter::kAdversaryDetect,
                           roster->head, node.now());
     retry_or_give_up(node);
@@ -523,11 +513,11 @@ void IcpdaApp::handle_roster(net::Node& node, const net::Frame& frame) {
   }
   if (!cluster_.set_roster(roster->head, roster->members, roster->seeds, node.id())) {
     role_ = ClusterRole::kUnclustered;
-    if (outcome_) ++outcome_->unclustered;
+    ++outcome_->unclustered;
     node.metrics().add("icpda.bad_roster");
     return;
   }
-  if (outcome_) ++outcome_->members;
+  ++outcome_->members;
   if (attacking(AttackClass::kDisclosure, node)) observe_roster(node);
   monitor_.set_target(roster->head);
   node.metrics().add("icpda.member");
@@ -562,10 +552,8 @@ void IcpdaApp::digest_deadline(net::Node& node) {
 
 void IcpdaApp::stand_down() {
   role_ = ClusterRole::kUnclustered;
-  if (outcome_) {
-    ++outcome_->unclustered;
-    if (outcome_->members > 0) --outcome_->members;
-  }
+  ++outcome_->unclustered;
+  if (outcome_->members > 0) --outcome_->members;
 }
 
 void IcpdaApp::handle_recovery_roster(net::Node& node, const ClusterRosterMsg& roster) {
@@ -790,7 +778,7 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
       start_phase2_recovery(node);
       return;
     }
-    if (outcome_) ++outcome_->clusters_failed;
+    ++outcome_->clusters_failed;
     return;
   }
   // Pollution: a compromised head forges its OWN entry in the digest —
@@ -807,7 +795,7 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
       f_vals[me].sum += adversary_->pollution_delta / w[me];
       forged = true;
       ++adv_->digests_forged;
-      if (outcome_) ++outcome_->pollution_events;
+      ++outcome_->pollution_events;
       node.metrics().add("icpda.digest_forged");
       node.tracer().counter(node.id(), sim::TraceCounter::kAdversaryAction,
                             static_cast<std::uint64_t>(AttackClass::kPollution),
@@ -819,7 +807,7 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
       forged ? solve_cluster_sum(cluster_.seed_values(), f_vals) : cluster_.solve();
   if (!v) {
     node.metrics().add("icpda.solve_failed");
-    if (outcome_) ++outcome_->clusters_failed;
+    ++outcome_->clusters_failed;
     return;
   }
   cluster_value_ = *v;
@@ -875,7 +863,7 @@ void IcpdaApp::start_phase2_recovery(net::Node& node) {
       // withheld its shares. Exclude it from the recovery roster instead
       // of re-admitting the starver for a second round of the same.
       node.metrics().add("icpda.withholder_flagged");
-      if (outcome_) ++outcome_->withholders_flagged;
+      ++outcome_->withholders_flagged;
       node.tracer().counter(node.id(), sim::TraceCounter::kAdversaryDetect,
                             all[j], node.now());
       raise_alarm(node, all[j], AlarmMsg::kDropSuspect, 0.0, 0.0);
@@ -894,8 +882,7 @@ void IcpdaApp::start_phase2_recovery(net::Node& node) {
     return;
   }
 
-  if (m < config_.min_cluster_size && orig_m >= config_.min_cluster_size &&
-      outcome_) {
+  if (m < config_.min_cluster_size && orig_m >= config_.min_cluster_size) {
     // The crash shrank a healthy cluster below the privacy floor.
     outcome_->degraded_privacy += static_cast<std::uint32_t>(m);
     node.metrics().add("icpda.recovery_small_cluster");
@@ -1053,7 +1040,7 @@ void IcpdaApp::handle_report(net::Node& node, const net::Frame& frame) {
   }
   pending_.merge(report->aggregate);
   items_.push_back(proto::ReportItem{report->reporter, report->aggregate});
-  if (bs && outcome_) outcome_->last_report_at = node.now();
+  if (bs) outcome_->last_report_at = node.now();
   node.metrics().add(bs ? "icpda.report_at_bs" : "icpda.report_merged");
 }
 
@@ -1063,12 +1050,12 @@ void IcpdaApp::forward_verbatim(net::Node& node, const net::Frame& frame) {
   if (!report) return;
 
   net::Bytes payload = frame.payload;
-  if (attack_ && attack_->is_polluter(node.id())) {
+  if (attack_->is_polluter(node.id())) {
     // A compromised relay tampers with the values it is asked to carry.
     report->aggregate.sum += attack_->delta;
     payload = report->to_bytes();
     node.metrics().add("icpda.pollution_injected");
-    if (outcome_) ++outcome_->pollution_events;
+    ++outcome_->pollution_events;
   }
 
   // A repeat hand-off (the child missed our first transmission and
@@ -1124,7 +1111,7 @@ void IcpdaApp::send_report(net::Node& node) {
     report.items.push_back(proto::ReportItem{node.id(), *cluster_value_});
   }
 
-  const bool polluting = attack_ && attack_->is_polluter(node.id());
+  const bool polluting = attack_->is_polluter(node.id());
   if (polluting && !report.items.empty()) {
     // The attacker must corrupt a concrete item (the itemized format
     // makes total-only smearing trivially detectable); the naive
@@ -1134,7 +1121,7 @@ void IcpdaApp::send_report(net::Node& node) {
     victim.value.sum += attack_->delta;
     report.aggregate.sum += attack_->delta;
     node.metrics().add("icpda.pollution_injected");
-    if (outcome_) ++outcome_->pollution_events;
+    ++outcome_->pollution_events;
   }
 
   if (report.items.empty()) {
@@ -1144,7 +1131,7 @@ void IcpdaApp::send_report(net::Node& node) {
   }
   dispatch_up(node, report.reporter, report.to_bytes());
   node.metrics().add("icpda.report_sent");
-  if (outcome_) ++outcome_->reporters;
+  ++outcome_->reporters;
 }
 
 void IcpdaApp::expect_forward(net::Node& node, net::NodeId reporter,
@@ -1190,9 +1177,6 @@ void IcpdaApp::expect_forward(net::Node& node, net::NodeId reporter,
     node.metrics().add(parent_reports_overheard_ > 0
                            ? "icpda.watchdog_alarm_parent_active"
                            : "icpda.watchdog_alarm_parent_silent");
-    ICPDA_LOG(kWarn) << "watchdog alarm: node=" << node.id() << " parent="
-                     << parent_ << " reporter=" << exp.reporter
-                     << " t=" << node.now().seconds();
     raise_alarm(node, parent_, AlarmMsg::kDropSuspect,
                 /*expected=*/1.0, /*observed=*/0.0);
   });
@@ -1298,9 +1282,7 @@ bool IcpdaApp::reroute_to_backup(net::Node& node) {
   node.purge_sends_to(dead);
   node.metrics().add("icpda.reroute");
   node.tracer().counter(node.id(), sim::TraceCounter::kReroute, best, node.now());
-  if (outcome_) ++outcome_->reroutes;
-  ICPDA_LOG(kInfo) << "reroute: node=" << node.id() << " new_parent=" << best
-                   << " t=" << node.now().seconds();
+  ++outcome_->reroutes;
   return true;
 }
 
@@ -1450,23 +1432,19 @@ void IcpdaApp::handle_alarm(net::Node& node, const net::Frame& frame) {
     node.broadcast(proto::kAlarm, frame.payload, frame.flood);
     return;
   }
-  if (outcome_) {
-    outcome_->alarms.push_back(*alarm);
-    if (alarm->kind == AlarmMsg::kDropSuspect) {
-      ++outcome_->drop_suspicions;
-    } else if (exceeds(alarm->expected_sum - alarm->observed_sum, config_.th)) {
-      ++outcome_->significant_alarms;
-    }
+  outcome_->alarms.push_back(*alarm);
+  if (alarm->kind == AlarmMsg::kDropSuspect) {
+    ++outcome_->drop_suspicions;
+  } else if (exceeds(alarm->expected_sum - alarm->observed_sum, config_.th)) {
+    ++outcome_->significant_alarms;
   }
   node.metrics().add("icpda.alarm_at_bs");
 }
 
 void IcpdaApp::close_epoch(net::Node& node) {
   reported_ = true;
-  if (outcome_) {
-    outcome_->result = pending_;
-    outcome_->closed_at = node.now();
-  }
+  outcome_->result = pending_;
+  outcome_->closed_at = node.now();
   node.metrics().add("icpda.epoch_closed");
 }
 
@@ -1482,7 +1460,7 @@ bool IcpdaApp::replay_gate(net::Node& node, const net::Frame& frame) {
   // replay of a capture from an earlier epoch or a pre-hardening
   // capture (no trailer at all). Drop it before any handler runs.
   node.metrics().add("icpda.replay_rejected");
-  if (outcome_) ++outcome_->replay_rejections;
+  ++outcome_->replay_rejections;
   node.tracer().counter(node.id(), sim::TraceCounter::kAdversaryDetect,
                         frame.src, node.now());
   return true;
@@ -1572,7 +1550,7 @@ void IcpdaApp::crosscheck_digest(net::Node& node, const proto::ClusterDigestMsg&
       // on the air before solving: the one digest slot no member
       // endorses, forged. Attributable — alarm on the head.
       node.metrics().add("icpda.digest_crosscheck_alarm");
-      if (outcome_) ++outcome_->crosscheck_alarms;
+      ++outcome_->crosscheck_alarms;
       node.tracer().counter(node.id(), sim::TraceCounter::kAdversaryDetect,
                             digest.head, node.now());
       raise_alarm(node, digest.head, AlarmMsg::kValueTamper, seen->second,

@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/adversary.h"
@@ -105,6 +106,8 @@ struct IcpdaOutcome {
 
 class IcpdaApp final : public net::App {
  public:
+  /// `attack` and `outcome` are required (std::invalid_argument on
+  /// null): every app tallies into the epoch's outcome.
   IcpdaApp(IcpdaConfig config, proto::ReadingProvider readings,
            const crypto::KeyScheme* keys, const AttackPlan* attack,
            IcpdaOutcome* outcome, const AdversaryPlan* adversary = nullptr,
@@ -118,7 +121,11 @@ class IcpdaApp final : public net::App {
         adv_(adv),
         rng_override_(rng_override),
         monitor_(WitnessMonitor::Config{config.witness_tolerance,
-                                        config.omission_guard_s}) {}
+                                        config.omission_guard_s}) {
+    if (attack_ == nullptr || outcome_ == nullptr) {
+      throw std::invalid_argument("IcpdaApp needs an attack plan and an outcome sink");
+    }
+  }
 
   void start(net::Node& node) override;
   void on_receive(net::Node& node, const net::Frame& frame) override;
@@ -268,7 +275,6 @@ class IcpdaApp final : public net::App {
   bool flood_forwarded_ = false;  ///< re-broadcast the query once
   net::NodeId parent_ = net::kNoNode;
   std::uint16_t hop_ = 0;
-  bool allowed_aggregator_ = true;
   proto::HelloMsg query_;  ///< the query as first heard (mask checks)
   sim::SimTime join_time_; ///< when we joined the tree
 

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <numeric>
 
+#include "proto/messages.h"
+
 namespace icpda::core {
 
 net::Bytes make_allowed_mask(std::size_t node_count,
                              const std::vector<net::NodeId>& ids) {
-  net::Bytes mask((node_count + 7) / 8, 0);
-  const auto set = [&mask](net::NodeId id) {
-    mask[id / 8] |= static_cast<std::uint8_t>(1u << (id % 8));
-  };
-  set(0);  // the base station always participates
-  for (const net::NodeId id : ids) set(id);
+  net::Bytes mask;
+  proto::mask_allow(mask, 0, node_count);  // the base station always participates
+  for (const net::NodeId id : ids) proto::mask_allow(mask, id, node_count);
   return mask;
 }
 

@@ -6,7 +6,6 @@
 
 #include "net/node.h"
 #include "net/wire.h"
-#include "sim/log.h"
 
 namespace icpda::net {
 

@@ -5,20 +5,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "proto/messages.h"
+
 namespace icpda::service {
 
 namespace {
 /// Post-close drain per query before its record is cut (mirrors the
 /// single-epoch runner's grace for straggler alarms).
 constexpr double kDrainGraceS = 3.0;
-
-/// Mask check mirroring HelloMsg::allows (empty mask = everyone).
-bool mask_allows(const net::Bytes& mask, net::NodeId id) {
-  if (mask.empty()) return true;
-  const std::size_t byte = id / 8;
-  if (byte >= mask.size()) return false;
-  return (mask[byte] >> (id % 8)) & 1;
-}
 }  // namespace
 
 Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
@@ -39,7 +33,7 @@ Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
   // Exact ground truth over the allowed sensors (the BS, node 0, never
   // contributes a reading).
   for (net::NodeId id = 1; id < net_.size(); ++id) {
-    if (!mask_allows(config_.allowed_mask, id)) continue;
+    if (!proto::mask_allows(config_.allowed_mask, id)) continue;
     truth_.merge(proto::Aggregate::of(state_.readings(id)));
     ++allowed_sensors_;
   }

@@ -289,13 +289,14 @@ TEST(OverhearMaskTest, IcpdaAppDeclaresWhatItsOverhearPathReads) {
   const auto bit = [](net::FrameType t) { return std::uint64_t{1} << t; };
   const crypto::MasterPairwiseScheme keys{crypto::Key::from_seed(1)};
   const core::AttackPlan none;
+  core::IcpdaOutcome outcome;
   core::IcpdaConfig benign;
-  const core::IcpdaApp plain(benign, proto::constant_reading(1.0), &keys, &none, nullptr);
+  const core::IcpdaApp plain(benign, proto::constant_reading(1.0), &keys, &none, &outcome);
   EXPECT_EQ(plain.overheard_types(), bit(proto::kClusterReport));
 
   core::IcpdaConfig hardened;
   hardened.hardening.epoch_tag = 3;
-  const core::IcpdaApp gated(hardened, proto::constant_reading(1.0), &keys, &none, nullptr);
+  const core::IcpdaApp gated(hardened, proto::constant_reading(1.0), &keys, &none, &outcome);
   std::uint64_t want = 0;
   for (const net::FrameType t :
        {proto::kClusterRoster, proto::kShare, proto::kFAnnounce, proto::kClusterDigest,
@@ -307,7 +308,7 @@ TEST(OverhearMaskTest, IcpdaAppDeclaresWhatItsOverhearPathReads) {
   core::AdversaryPlan plan;
   plan.attack = core::AttackClass::kReplay;
   core::AdversaryState adv;
-  const core::IcpdaApp adversarial(benign, proto::constant_reading(1.0), &keys, &none, nullptr,
+  const core::IcpdaApp adversarial(benign, proto::constant_reading(1.0), &keys, &none, &outcome,
                                    &plan, &adv);
   EXPECT_EQ(adversarial.overheard_types(), bit(proto::kClusterReport) | bit(proto::kFAnnounce));
 }

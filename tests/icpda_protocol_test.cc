@@ -8,6 +8,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -366,6 +368,139 @@ TEST(IcpdaProtocolTest, HelloPastTheHopBudgetIsDropped) {
     EXPECT_FALSE(rig.apps[id]->joined_tree()) << "node " << id;
   }
   EXPECT_GT(beyond, 0u);
+}
+
+/// A frame from the masked-out node `x`, handed straight to each of its
+/// neighbours once `ready` holds for that neighbour (polled every 5 ms
+/// through Phase I), for the two receiver-side mask guards. Returns the
+/// epoch's result, the frames on the air that `leaked` counts, and the
+/// value of `metric`. With `inject` off the same poll runs and delivers
+/// nothing, so the two runs differ only by the crafted frames.
+struct MaskedFrameRun {
+  std::optional<proto::Aggregate> result;
+  std::size_t leaked = 0;
+  std::uint64_t metric = 0;
+};
+MaskedFrameRun run_with_masked_frames(
+    net::NodeId x, bool inject, const char* metric,
+    const std::function<bool(const IcpdaApp&)>& ready,
+    const std::function<net::Frame(net::NodeId to)>& craft,
+    const std::function<bool(const net::Frame&)>& leaked) {
+  constexpr net::NodeId kN = 200;
+  const auto keys = master_keys();
+  IcpdaConfig cfg;
+  proto::HelloMsg mask_builder;
+  for (net::NodeId id = 0; id < kN; ++id) {
+    if (id != x) mask_builder.set_allowed(id, kN);
+  }
+  cfg.allowed_mask = mask_builder.allowed_mask;
+  net::Network network(paper_network(kN, 31));
+  MaskedFrameRun out;
+  network.channel().add_tap([&](net::NodeId, const net::Frame& f) { out.leaked += leaked(f); });
+  const auto neighbors = network.topology().neighbors(x);
+  std::vector<bool> sent(kN, false);
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys, {}, [&](Rig& r) {
+    for (int tick = 0; tick < 300; ++tick) {
+      network.scheduler().after(sim::seconds(cfg.timing.start_delay_s + 0.005 * tick), [&] {
+        for (const net::NodeId v : neighbors) {
+          if (sent[v] || v == 0 || !ready(*r.apps[v])) continue;
+          sent[v] = true;
+          if (inject) r.apps[v]->on_receive(network.node(v), craft(v));
+        }
+      });
+    }
+  });
+  EXPECT_TRUE(std::find(sent.begin(), sent.end(), true) != sent.end()) << "nobody was ready";
+  out.result = rig.outcome.result;
+  out.metric = network.metrics().counter(metric);
+  return out;
+}
+
+TEST(IcpdaProtocolTest, ClusterHelloFromExcludedNodeIsNeverJoined) {
+  // A masked-out node announces itself as a head to every neighbour
+  // that has heard the query and not yet picked a cluster: the guard
+  // drops each announcement, so nobody ever sends it a join.
+  constexpr net::NodeId x = 5;
+  const auto run = [&](bool inject) {
+    return run_with_masked_frames(
+        x, inject, "icpda.head_excluded_ignored",
+        [](const IcpdaApp& app) { return app.joined_tree(); },
+        [&](net::NodeId to) {
+          proto::ClusterHelloMsg hello;
+          hello.query_id = IcpdaConfig{}.query_id;
+          hello.head = x;
+          hello.hop = 1;
+          net::Frame frame;
+          frame.src = x;
+          frame.dst = to;
+          frame.type = proto::kClusterHello;
+          frame.payload = hello.to_bytes();
+          return frame;
+        },
+        [&](const net::Frame& f) {
+          const auto join = f.type == proto::kJoin ? proto::JoinMsg::from_bytes(f.payload)
+                                                   : std::nullopt;
+          return join && join->head == x;
+        });
+  };
+  const MaskedFrameRun clean = run(false);
+  const MaskedFrameRun injected = run(true);
+  EXPECT_EQ(clean.metric, 0u);
+  EXPECT_GE(injected.metric, 1u);
+  EXPECT_EQ(injected.leaked, 0u) << "a node joined the excluded head";
+  ASSERT_TRUE(clean.result.has_value());
+  ASSERT_TRUE(injected.result.has_value());
+  EXPECT_EQ(*injected.result, *clean.result);  // bit-identical: never heard
+}
+
+TEST(IcpdaProtocolTest, JoinFromExcludedNodeNeverReachesTheRoster) {
+  // A masked-out node asks every neighbouring head with an open roster
+  // to admit it: the guard drops each join, so no roster lists it.
+  constexpr net::NodeId x = 5;
+  const auto run = [&](bool inject) {
+    return run_with_masked_frames(
+        x, inject, "icpda.join_excluded_ignored",
+        [](const IcpdaApp& app) { return app.role() == ClusterRole::kHead; },
+        [&](net::NodeId to) {
+          proto::JoinMsg join;
+          join.query_id = IcpdaConfig{}.query_id;
+          join.member = x;
+          join.head = to;
+          net::Frame frame;
+          frame.src = x;
+          frame.dst = to;
+          frame.type = proto::kJoin;
+          frame.payload = join.to_bytes();
+          return frame;
+        },
+        [&](const net::Frame& f) {
+          const auto roster = f.type == proto::kClusterRoster
+                                  ? proto::ClusterRosterMsg::from_bytes(f.payload)
+                                  : std::nullopt;
+          return roster && std::find(roster->members.begin(), roster->members.end(), x) !=
+                               roster->members.end();
+        });
+  };
+  const MaskedFrameRun clean = run(false);
+  const MaskedFrameRun injected = run(true);
+  EXPECT_EQ(clean.metric, 0u);
+  EXPECT_GE(injected.metric, 1u);
+  EXPECT_EQ(injected.leaked, 0u) << "a roster admitted the excluded node";
+  ASSERT_TRUE(clean.result.has_value());
+  ASSERT_TRUE(injected.result.has_value());
+  EXPECT_EQ(*injected.result, *clean.result);
+}
+
+TEST(IcpdaProtocolTest, AppRequiresAttackPlanAndOutcome) {
+  const auto keys = master_keys();
+  const AttackPlan attack;
+  IcpdaOutcome outcome;
+  const auto make = [&](const AttackPlan* a, IcpdaOutcome* o) {
+    return IcpdaApp(IcpdaConfig{}, proto::constant_reading(1.0), &keys, a, o);
+  };
+  EXPECT_THROW(make(nullptr, &outcome), std::invalid_argument);
+  EXPECT_THROW(make(&attack, nullptr), std::invalid_argument);
+  EXPECT_NO_THROW(make(&attack, &outcome));
 }
 
 /// Take over reception as ShareFailingAuthenticationIsNeverMerged
