@@ -66,7 +66,7 @@ inline constexpr bool kIsTrailer = false;
 template <typename Tag>
 inline constexpr bool kIsTrailer<EpochTagTrailer<Tag>> = true;
 template <typename T>
-inline constexpr bool kIsInt = std::is_unsigned_v<T> && sizeof(T) <= 4;
+inline constexpr bool kIsInt = std::is_unsigned_v<T>;
 /// Vector elements copied with one memcpy.
 template <typename E>
 inline constexpr bool kBulk =
@@ -199,16 +199,6 @@ void read(Reader& r, T&& field) {
   }
 }
 
-/// Decode the first K fields of T from `b` into `m`; false if `b` is
-/// too short or malformed.
-template <typename T, std::size_t K>
-bool read_first(const net::Bytes& b, T& m) {
-  Reader r{b.data(), b.data() + b.size()};
-  std::size_t i = 0;
-  T::fields(m, [&](auto&&... xs) { ((i++ < K ? read(r, xs) : void()), ...); });
-  return r.ok;
-}
-
 }  // namespace codec
 
 /// The wire bytes of `m`.
@@ -223,7 +213,9 @@ template <codec::FieldList T>
 template <codec::FieldList T>
 [[nodiscard]] std::optional<T> decode(const net::Bytes& b) {
   std::optional<T> m(std::in_place);
-  if (!codec::read_first<T, codec::field_sizes<T>().size()>(b, *m)) m.reset();
+  codec::Reader r{b.data(), b.data() + b.size()};
+  codec::read(r, *m);
+  if (!r.ok) m.reset();
   return m;
 }
 
@@ -246,7 +238,10 @@ template <codec::FieldList T, std::size_t K>
 [[nodiscard]] std::optional<T> decode_prefix(const net::Bytes& b) {
   static_assert(field_offset<T, K>() > 0, "a header holds fixed-width fields only");
   std::optional<T> m(std::in_place);
-  if (!codec::read_first<T, K>(b, *m)) m.reset();
+  codec::Reader r{b.data(), b.data() + b.size()};
+  std::size_t i = 0;
+  T::fields(*m, [&](auto&&... xs) { ((i++ < K ? codec::read(r, xs) : void()), ...); });
+  if (!r.ok) m.reset();
   return m;
 }
 

@@ -3,8 +3,10 @@
 #
 #   1. asan  — AddressSanitizer + UBSan together: object-lifetime bugs
 #      on the crash/purge/recovery paths the happy path never touches,
-#      and index bugs in the scheduler's slot-id buckets and tie heap
-#      (SchedulerPropertyTest's differential suite).
+#      index bugs in the scheduler's slot-id buckets and tie heap
+#      (SchedulerPropertyTest's differential suite), and out-of-bounds
+#      reads in the field-list wire codec under the hostile-input
+#      corpus (MessagesTest, MessagesFuzzTest).
 #   2. ubsan — UBSan alone: no shadow-memory slowdown, so the
 #      allocation-heavy randomized suites (property/fuzz, label `slow`)
 #      join the run and hostile-input UB gets real coverage; the
@@ -29,7 +31,7 @@ cd "$repo_root"
 jobs="$(nproc 2>/dev/null || echo 4)"
 lanes="${ICPDA_SAN_LANES:-asan ubsan tsan}"
 
-filter="${1:-SchedulerPropertyTest|FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|ChannelFanoutTest|FloodHoldTest|OverhearMaskTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
+filter="${1:-MessagesTest|MessagesFuzzTest|SchedulerPropertyTest|FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|ChannelFanoutTest|FloodHoldTest|OverhearMaskTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
 
 case " $lanes " in *" asan "*)
   echo "== asan (address+undefined) =="
