@@ -2,7 +2,6 @@
 
 #include <utility>
 
-
 namespace icpda::baselines {
 
 using proto::HelloMsg;
