@@ -1,5 +1,7 @@
 #include "proto/messages.h"
 
+#include <algorithm>
+
 namespace icpda::proto {
 
 // ---- QueryId wire invariant -----------------------------------------
@@ -12,9 +14,12 @@ std::uint32_t peek_query_id(const net::Bytes& payload) {
 // ---- Epoch-freshness tag --------------------------------------------
 
 std::uint32_t peek_epoch_tag(const net::Bytes& payload) {
-  const std::size_t n = payload.size();
-  if (n < kEpochTagBytes || payload[n - kEpochTagBytes] != kEpochTagMarker) return 0;
-  return codec::load_le<std::uint32_t>(payload.data() + n - 4);
+  // Read the trailer field on its own, over at most the last 5 bytes.
+  const std::uint8_t* end = payload.data() + payload.size();
+  codec::Reader r{end - std::min(payload.size(), kEpochTagBytes), end};
+  std::uint32_t tag = 0;
+  codec::read(r, EpochTagTrailer{tag});
+  return tag;
 }
 
 bool epoch_tag_stale(const net::Bytes& payload, std::uint32_t expected) {
