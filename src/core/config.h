@@ -1,4 +1,4 @@
-// Configuration knobs of the iCPDA protocol and its attack plans.
+// Configuration of the iCPDA protocol and its attack plans.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,9 @@ enum class SmallClusterPolicy : std::uint8_t {
   kDrop,
 };
 
+/// Per-epoch protocol configuration. Fields are what callers vary; the
+/// values the paper's model fixes are `static constexpr` members, read
+/// like fields (`config.join_delay_s`) but not assignable.
 struct IcpdaConfig {
   std::uint32_t query_id = 1;
   proto::TreeTiming timing;
@@ -41,11 +44,11 @@ struct IcpdaConfig {
   /// regardless of density. Off by default (the ICDCS paper uses a
   /// fixed pc); bench_adaptive_pc measures the difference.
   bool adaptive_pc = false;
-  double adapt_k = 2.0;
+  static constexpr double adapt_k = 2.0;
 
   /// Minimum cluster size for the share algebra (m >= 3 keeps any
   /// single member from solving for a peer's value).
-  std::uint32_t min_cluster_size = 3;
+  static constexpr std::uint32_t min_cluster_size = 3;
   SmallClusterPolicy small_cluster_policy = SmallClusterPolicy::kClearReport;
   /// Heads cap their roster at this size: the intra-cluster exchange is
   /// O(m^2) frames through one radio, so unbounded clusters in dense
@@ -54,25 +57,25 @@ struct IcpdaConfig {
   std::uint32_t max_cluster_size = 8;
   /// How many times a member whose join was rejected/lost tries a
   /// different head before giving up as unclustered.
-  std::uint32_t rejoin_attempts = 2;
+  static constexpr std::uint32_t rejoin_attempts = 2;
 
   // -- Phase I timing (offsets from a node hearing the query) --------
   /// Non-heads wait this long collecting ClusterHello before joining.
-  double join_delay_s = 0.10;
+  static constexpr double join_delay_s = 0.10;
   /// A node that heard no ClusterHello retries its role decision every
   /// join_delay_s, self-electing with pc each round; after this many
   /// rounds it becomes a head unconditionally (so isolated nodes still
   /// report, as lone heads, under the small-cluster policy).
-  std::uint32_t max_join_rounds = 4;
+  static constexpr std::uint32_t max_join_rounds = 4;
   /// Jitter window for sending the join (desynchronises the join wave).
-  double join_jitter_s = 0.05;
+  static constexpr double join_jitter_s = 0.05;
   /// Heads close their roster this long after announcing.
   double roster_delay_s = 0.30;
   /// Roster broadcasts have no ARQ; repeat them this many times.
-  std::uint32_t roster_repeats = 2;
+  static constexpr std::uint32_t roster_repeats = 2;
   /// Members give up waiting for their head's roster after this long
   /// (measured from sending the join).
-  double roster_timeout_s = 0.70;
+  static constexpr double roster_timeout_s = 0.70;
 
   // -- Phase II timing (offsets from a member receiving the roster) --
   // A cluster of size m exchanges ~m^2 share frames, all serialized
@@ -80,18 +83,18 @@ struct IcpdaConfig {
   // head), so the deadlines scale with m: every member knows m from
   // the roster.
   /// Base jitter window for sending the encrypted shares.
-  double share_jitter_s = 0.10;
+  static constexpr double share_jitter_s = 0.10;
   /// Base delay until each member unicasts its assembled F value.
-  double assemble_delay_s = 0.50;
+  static constexpr double assemble_delay_s = 0.50;
   /// Jitter window on the F unicast.
-  double f_jitter_s = 0.12;
+  static constexpr double f_jitter_s = 0.12;
   /// How many times the head repeats the digest broadcast (no ARQ).
-  std::uint32_t f_repeats = 2;
+  static constexpr std::uint32_t f_repeats = 2;
   /// Base delay until the head solves and broadcasts the digest.
-  double solve_delay_s = 0.95;
+  static constexpr double solve_delay_s = 0.95;
   /// Added to the share window (x0.6), assemble and solve deadlines
   /// per roster member.
-  double per_member_slack_s = 0.08;
+  static constexpr double per_member_slack_s = 0.08;
 
   [[nodiscard]] double share_window_s(std::size_t m) const {
     return share_jitter_s + 0.6 * per_member_slack_s * static_cast<double>(m);
@@ -107,10 +110,10 @@ struct IcpdaConfig {
   /// completes below every report (added to TreeTiming::report_delay).
   /// Must cover max_join_rounds * join_delay + roster_delay +
   /// solve_delay plus jitters.
-  double phase2_budget_s = 4.0;
+  static constexpr double phase2_budget_s = 4.0;
 
   /// Bound on the uniform random polynomial coefficients.
-  double coeff_scale = 1000.0;
+  static constexpr double coeff_scale = 1000.0;
 
   // -- Phase III: witness auditing ------------------------------------
   /// Numeric tolerance when a witness compares the head's outgoing sum
@@ -129,7 +132,7 @@ struct IcpdaConfig {
   /// the sender overhears the medium and expects the parent either to
   /// forward the payload verbatim (relays) or to claim the reporter in
   /// its own aggregate (heads) within this window; otherwise it alarms.
-  double watchdog_timeout_s = 1.0;
+  static constexpr double watchdog_timeout_s = 1.0;
 
   /// Base-station acceptance threshold on |alarm.expected - observed|;
   /// alarms with deviation below Th are ignored (loss tolerance).
@@ -143,7 +146,7 @@ struct IcpdaConfig {
   /// Grace past the (recovery-extended) solve deadline before a member
   /// that never received a digest writes its cluster off and marks
   /// itself unclustered instead of witnessing for a dead head.
-  double digest_grace_s = 0.4;
+  static constexpr double digest_grace_s = 0.4;
   [[nodiscard]] double digest_deadline_s(std::size_t m) const {
     return solve_at_s(m) * 2.0 + digest_grace_s;
   }
@@ -152,9 +155,9 @@ struct IcpdaConfig {
   /// strictly-shallower neighbour heard during the flood — and
   /// re-dispatches after a short backoff, at most this many parent
   /// switches per node per epoch.
-  std::uint32_t reroute_attempts = 2;
+  static constexpr std::uint32_t reroute_attempts = 2;
   /// Base backoff before re-dispatching through the new parent.
-  double reroute_backoff_s = 0.15;
+  static constexpr double reroute_backoff_s = 0.15;
   /// Head failover: the first roster member after the head re-issues
   /// the endorsed cluster sum (under the head's reporter id, so the BS
   /// dedupes) when the head dies between digest and report. The backup
@@ -162,9 +165,9 @@ struct IcpdaConfig {
   /// up on (no ACK from the head) triggers the takeover. The probe goes
   /// this long before the last report slot (covers a full MAC
   /// retry ladder so the verdict is in by the backup's slot).
-  double backup_probe_lead_s = 0.9;
+  static constexpr double backup_probe_lead_s = 0.9;
   /// The backup's own slot sits this far past the last regular slot.
-  double backup_slot_slack_s = 0.12;
+  static constexpr double backup_slot_slack_s = 0.12;
 
   /// Optional aggregator-eligibility bitset carried in the query flood
   /// (bit per node id). Empty = every node may head/aggregate. The
@@ -201,6 +204,19 @@ struct IcpdaConfig {
   };
   HardeningConfig hardening;
 };
+
+/// Grace past the base station's epoch close before a run is cut:
+/// straggler events (late alarms, MAC drain) cannot matter beyond it.
+inline constexpr double kEpochDrainGraceS = 3.0;
+
+/// Nominal epoch duration under `config`: flood launch + Phase II
+/// budget + the depth-scheduled close delay. The epoch clock is fixed
+/// by configuration (close_epoch fires unconditionally), so this is
+/// exact.
+[[nodiscard]] inline double nominal_epoch_s(const IcpdaConfig& config) {
+  return config.timing.start_delay_s + config.phase2_budget_s +
+         config.timing.close_delay().seconds();
+}
 
 /// Data-pollution attack plan: `polluters` tamper with the aggregate
 /// they forward in Phase III by adding `delta` to the sum component.

@@ -142,6 +142,12 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
   if (!flood_forwarded_) {
     flood_forwarded_ = true;
     query_ = *hello;
+    // A ClusterHello can beat the flood here, when no mask was known
+    // yet to check its head against (handle_cluster_hello): forget the
+    // heads the mask excludes before any join can pick them.
+    const auto excluded = std::erase_if(
+        heard_heads_, [this](net::NodeId head) { return !query_.allows(head); });
+    if (excluded > 0) node.metrics().add("icpda.head_excluded_ignored", excluded);
     HelloMsg rebroadcast = *hello;
     rebroadcast.hop = static_cast<std::uint16_t>(hello->hop + 1);
     const auto jitter =
@@ -437,8 +443,7 @@ void IcpdaApp::settle_lone_head(net::Node& node, bool recovery) {
 void IcpdaApp::broadcast_roster(net::Node& node, const ClusterRosterMsg& roster) {
   // The roster broadcast has no ARQ: repeat it (members act on the
   // first copy; the MAC's sequence numbers make repeats distinct).
-  for (std::uint32_t rep = 0; rep < std::max<std::uint32_t>(1, config_.roster_repeats);
-       ++rep) {
+  for (std::uint32_t rep = 0; rep < config_.roster_repeats; ++rep) {
     const auto at = sim::seconds(static_cast<double>(rep) * 0.04 +
                                  rng(node).uniform(0.0, 0.02));
     node.schedule(at, [&node, payload = roster.to_bytes()]() mutable {
@@ -803,15 +808,13 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
     }
   }
 
-  const auto v =
-      forged ? solve_cluster_sum(cluster_.seed_values(), f_vals) : cluster_.solve();
-  if (!v) {
-    node.metrics().add("icpda.solve_failed");
-    ++outcome_->clusters_failed;
-    return;
-  }
-  cluster_value_ = *v;
-  monitor_.set_cluster_sum(*v);
+  // Cannot fail: set_roster admitted only distinct non-zero seeds, and
+  // f_vals is roster-sized.
+  const Aggregate v = (forged ? solve_cluster_sum(cluster_.seed_values(), f_vals)
+                              : cluster_.solve())
+                          .value();
+  cluster_value_ = v;
+  monitor_.set_cluster_sum(v);
   node.metrics().add("icpda.cluster_solved");
   node.tracer().switch_phase(node.id(), sim::TracePhase::kHeadAggregation,
                              node.now(), span_tag());
@@ -826,7 +829,7 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
   digest.epoch_tag = config_.hardening.epoch_tag;
   if (attacking(AttackClass::kDisclosure, node)) observe_digest(node, digest);
 
-  for (std::uint32_t r = 0; r < std::max<std::uint32_t>(1, config_.f_repeats); ++r) {
+  for (std::uint32_t r = 0; r < config_.f_repeats; ++r) {
     const auto jitter = sim::seconds(
         rng(node).uniform(0.0, config_.share_jitter_s) +
         static_cast<double>(r) * 0.03);
@@ -942,13 +945,11 @@ void IcpdaApp::handle_digest(net::Node& node, const net::Frame& frame) {
     return;
   }
 
-  const auto v = solve_cluster_sum(cluster_.seed_values(), digest->f_values);
-  if (!v) {
-    node.metrics().add("icpda.digest_unsolvable");
-    return;
-  }
-  cluster_value_ = *v;
-  monitor_.set_cluster_sum(*v);
+  // Cannot fail: our roster's seeds are distinct and non-zero, and the
+  // f_values were checked roster-sized above.
+  const Aggregate v = solve_cluster_sum(cluster_.seed_values(), digest->f_values).value();
+  cluster_value_ = v;
+  monitor_.set_cluster_sum(v);
   node.metrics().add("icpda.witness_armed");
   node.tracer().switch_phase(node.id(), sim::TracePhase::kPeerMonitoring,
                              node.now(), span_tag());
@@ -1610,10 +1611,8 @@ void run_epoch_tail(net::Network& net, const IcpdaConfig& config,
   // matter beyond a grace period, and a hard bound keeps any
   // congestion pathology from running the simulation forever. Relative
   // to now() so a second epoch can run on the same Network.
-  const auto horizon = net.now() +
-                       sim::seconds(config.timing.start_delay_s +
-                                    config.phase2_budget_s) +
-                       config.timing.close_delay() + sim::seconds(3.0);
+  const auto horizon =
+      net.now() + sim::seconds(nominal_epoch_s(config) + kEpochDrainGraceS);
   net.run(horizon);
   for (IcpdaOutcome& part : parts) merge_outcome_part(outcome, part);
   // Balance the trace: close every span still open (stragglers, nodes

@@ -72,14 +72,16 @@ namespace icpda::net {
 
 class Mac;
 
+/// The radio's rate and propagation delay are fixed (`static
+/// constexpr`, read like fields); only the loss rate is set per network.
 struct ChannelConfig {
   /// Radio bit rate (paper family: 1 Mbps).
-  double bit_rate_bps = 1e6;
+  static constexpr double bit_rate_bps = 1e6;
   /// Independent per-(frame,receiver) loss probability.
   double loss_probability = 0.0;
   /// Propagation delay per frame (distance-independent; ranges are
   /// <=50 m so real propagation is ~0.2 us — dominated by this slack).
-  double propagation_delay_s = 1e-6;
+  static constexpr double propagation_delay_s = 1e-6;
 };
 
 /// Outcome of one frame at one receiver, reported to the Network.

@@ -21,18 +21,20 @@ namespace icpda::net {
 
 class Node;
 
+/// The contention parameters are fixed (`static constexpr`, read like
+/// fields); only the queue bound is set per network.
 struct MacConfig {
   /// Contention slot. Deliberately on the order of a frame airtime
   /// (~0.6 ms at 1 Mbps for a typical protocol frame): with slots much
   /// shorter than a frame, two stations picking nearby slots still
   /// overlap and backoff stops resolving contention.
-  double slot_time_s = 400e-6;
-  double sifs_s = 10e-6;           ///< gap before an ACK
-  std::uint32_t cw_min = 32;       ///< initial contention window (slots)
-  std::uint32_t cw_max = 1024;     ///< max contention window
-  std::uint32_t max_retries = 7;   ///< unicast retransmissions before giving up
-  double ack_timeout_s = 1.2e-3;   ///< unicast ACK wait
-  std::size_t queue_limit = 256;   ///< tail-drop beyond this depth
+  static constexpr double slot_time_s = 400e-6;
+  static constexpr double sifs_s = 10e-6;          ///< gap before an ACK
+  static constexpr std::uint32_t cw_min = 32;      ///< initial contention window (slots)
+  static constexpr std::uint32_t cw_max = 1024;    ///< max contention window
+  static constexpr std::uint32_t max_retries = 7;  ///< unicast retransmissions before giving up
+  static constexpr double ack_timeout_s = 1.2e-3;  ///< unicast ACK wait
+  std::size_t queue_limit = 256;                   ///< tail-drop beyond this depth
 };
 
 class Mac {

@@ -1,10 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -15,24 +11,6 @@ Topology build_topology(const NetworkConfig& config, sim::Rng& rng) {
   const Field field{config.field_width_m, config.field_height_m};
   sim::Rng topo_rng = rng.fork("topology");
   return make_random_topology(field, config.node_count, config.range_m, topo_rng);
-}
-
-/// With ICPDA_ANNOUNCE_PLAN set (the runner sets it alongside its
-/// progress reporter), print each distinct (node count, shard count)
-/// partition once to stderr — campaigns build thousands of Networks,
-/// so per-instance printing would drown the progress line.
-void announce_plan(const sim::ShardPlan& plan, std::size_t nodes) {
-  if (std::getenv("ICPDA_ANNOUNCE_PLAN") == nullptr) return;
-  static std::mutex mu;
-  static std::set<std::pair<std::size_t, std::uint32_t>> seen;
-  const std::scoped_lock lock(mu);
-  if (!seen.insert({nodes, plan.shard_count}).second) return;
-  std::fprintf(stderr,
-               "[shard-plan] n=%zu tiles=%u border=%zu (%.1f%%) balance=%.2f\n",
-               nodes, plan.shard_count, plan.border_count,
-               100.0 * static_cast<double>(plan.border_count) /
-                   static_cast<double>(nodes == 0 ? 1 : nodes),
-               plan.balance());
 }
 }  // namespace
 
@@ -72,7 +50,6 @@ void Network::wire() {
         [this](std::uint32_t node, const std::function<void(std::uint32_t)>& fn) {
           for (const NodeId r : topology_.neighbors(node)) fn(r);
         });
-    announce_plan(plan_, topology_.size());
     shard_scheds_.reserve(shards);
     shard_metrics_.reserve(shards);
     // One counter table for all shards, so an event's key does not

@@ -14,18 +14,20 @@
 
 namespace icpda::proto {
 
+/// Experiments vary the depth budget and the close slack; the other
+/// timings are fixed (`static constexpr`, read like fields).
 struct TreeTiming {
   /// Base-station delay before issuing the query flood.
-  double start_delay_s = 0.05;
+  static constexpr double start_delay_s = 0.05;
   /// Application-level jitter before re-broadcasting a HELLO (on top
   /// of MAC backoff; desynchronises the flood wavefront).
-  double hello_jitter_s = 0.05;
+  static constexpr double hello_jitter_s = 0.05;
   /// Depth budget of the epoch: nodes deeper than this cannot report
   /// in time (the field/range combinations used in the experiments
   /// stay well below it).
   std::uint16_t max_hops = 24;
   /// Per-hop reporting slot.
-  double hop_slot_s = 0.08;
+  static constexpr double hop_slot_s = 0.08;
   /// Extra slack before the base station closes the epoch.
   double close_slack_s = 0.5;
 

@@ -58,14 +58,6 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   sink.table(campaign.name);
   sink.comment("trials per point: " + std::to_string(trials));
 
-  // Surface the active shard partitions next to the progress/ETA line:
-  // the Networks are built deep inside the cells, so the announcement
-  // itself lives in Network::wire (once per distinct plan), opted in
-  // here.
-  if (options.progress && options.shards > 1) {
-    setenv("ICPDA_ANNOUNCE_PLAN", "1", /*overwrite=*/0);
-  }
-
   const std::size_t cells = selected.size() * static_cast<std::size_t>(trials);
   Progress progress(campaign.label.empty() ? campaign.name : campaign.label, cells,
                     options.progress);

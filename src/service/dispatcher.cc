@@ -9,12 +9,6 @@
 
 namespace icpda::service {
 
-namespace {
-/// Post-close drain per query before its record is cut (mirrors the
-/// single-epoch runner's grace for straggler alarms).
-constexpr double kDrainGraceS = 3.0;
-}  // namespace
-
 Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
                        const crypto::KeyScheme* keys,
                        proto::ReadingProvider readings)
@@ -29,11 +23,11 @@ Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
   state_.readings = std::move(readings);
   state_.keys = keys;
   state_.seed = config_.seed;
-  nominal_s_ = nominal_epoch_s(config_.protocol);
+  nominal_s_ = core::nominal_epoch_s(config_.protocol);
   // Exact ground truth over the allowed sensors (the BS, node 0, never
   // contributes a reading).
   for (net::NodeId id = 1; id < net_.size(); ++id) {
-    if (!proto::mask_allows(config_.allowed_mask, id)) continue;
+    if (!proto::mask_allows(config_.protocol.allowed_mask, id)) continue;
     truth_.merge(proto::Aggregate::of(state_.readings(id)));
     ++allowed_sensors_;
   }
@@ -41,7 +35,7 @@ Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
 
 bool Dispatcher::misses_deadline(const QueryDescriptor& q) const {
   const double finish_at = net_.scheduler().now().seconds() + nominal_s_;
-  return finish_at > q.arrival.seconds() + q.deadline_s;
+  return finish_at > q.arrival.seconds() + config_.deadline_s;
 }
 
 std::uint32_t Dispatcher::count(QueryStatus s) const {
@@ -73,11 +67,8 @@ void Dispatcher::arrive(const QueryDescriptor& q) {
 void Dispatcher::launch(const QueryDescriptor& q) {
   auto [it, inserted] = state_.queries.try_emplace(q.id);
   ActiveQuery& query = it->second;
-  query.descriptor = q;
   query.config = config_.protocol;
   query.config.query_id = q.id;
-  query.config.allowed_mask = q.allowed_mask;
-  query.config.trace_query_spans = config_.trace_query_spans;
   query.active = true;
   ++in_flight_;
 
@@ -97,7 +88,7 @@ void Dispatcher::launch(const QueryDescriptor& q) {
 
   auto& bs = net_.node(net_.base_station());
   static_cast<QueryMux*>(bs.app())->launch(bs, query);
-  net_.scheduler().after(sim::seconds(nominal_s_ + kDrainGraceS),
+  net_.scheduler().after(sim::seconds(nominal_s_ + core::kEpochDrainGraceS),
                          [this, qid = q.id] { complete(qid); });
 }
 
@@ -185,8 +176,6 @@ sim::SimTime Dispatcher::run() {
                  ? AggregateKind::kSum
                  : config_.kind_cycle[i % config_.kind_cycle.size()];
     q.arrival = sim::seconds(t);
-    q.deadline_s = config_.deadline_s;
-    q.allowed_mask = config_.allowed_mask;
     schedule.push_back(q);
     net_.scheduler().at(q.arrival, [this, q] { arrive(q); });
   }
@@ -196,7 +185,7 @@ sim::SimTime Dispatcher::run() {
   // congestion pathology from running the simulation forever.
   double bound = 0.0;
   for (const auto& q : schedule) {
-    bound = std::max(bound, q.arrival.seconds()) + nominal_s_ + kDrainGraceS;
+    bound = std::max(bound, q.arrival.seconds()) + nominal_s_ + core::kEpochDrainGraceS;
   }
   net_.run(sim::seconds(bound + 5.0));
   // Balance the trace (close stray spans) and stamp the run boundary.

@@ -33,8 +33,9 @@
 namespace icpda::service {
 
 struct ServiceConfig {
-  /// Base protocol configuration; query_id / allowed_mask /
-  /// trace_query_spans are overwritten per query.
+  /// Protocol configuration of every query; query_id is stamped per
+  /// query. Its allowed_mask restricts every query to a node subset,
+  /// and trace_query_spans tags phase spans with the query id.
   core::IcpdaConfig protocol;
   /// Open-loop Poisson arrival rate, queries per second.
   double offered_load_qps = 0.2;
@@ -44,18 +45,16 @@ struct ServiceConfig {
   std::uint32_t max_in_flight = 2;
   /// Waiting-room bound; arrivals beyond it are rejected outright.
   std::size_t max_queue = 32;
-  /// Completion deadline per query, seconds from arrival.
+  /// Completion deadline per query, seconds from arrival. A query that
+  /// cannot finish its (fixed-length) epoch before the deadline is
+  /// dropped at admission rather than launched late.
   double deadline_s = 30.0;
   /// Arrival-process seed and per-(node, query) protocol RNG salt.
   std::uint64_t seed = 1;
-  /// Stamp query ids on protocol phase spans (see IcpdaConfig).
-  bool trace_query_spans = false;
   /// Aggregate kinds assigned round-robin by arrival index.
   std::vector<AggregateKind> kind_cycle{AggregateKind::kSum,
                                         AggregateKind::kAvg,
                                         AggregateKind::kVar};
-  /// Node-subset restriction applied to every query (empty = all).
-  net::Bytes allowed_mask;
 };
 
 class Dispatcher {

@@ -37,7 +37,6 @@ namespace icpda::service {
 /// writes into. Entries live in a std::map so their addresses are
 /// stable for the lifetime of the run.
 struct ActiveQuery {
-  QueryDescriptor descriptor;
   core::IcpdaConfig config;  ///< protocol config with query_id stamped
   core::IcpdaOutcome outcome;
   bool active = false;  ///< routing gate: retired queries drop frames

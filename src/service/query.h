@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "core/icpda.h"
-#include "net/wire.h"
 #include "proto/aggregate.h"
 #include "sim/time.h"
 
@@ -43,13 +42,6 @@ struct QueryDescriptor {
   AggregateKind kind = AggregateKind::kSum;
   /// When the query entered the system (open-loop arrival process).
   sim::SimTime arrival;
-  /// Completion deadline, measured from arrival. A query that cannot
-  /// finish its (fixed-length) epoch before the deadline is dropped at
-  /// admission rather than launched late.
-  double deadline_s = 30.0;
-  /// Optional node-subset restriction (bit per node id, empty = all
-  /// sensors) — rides the query flood as HelloMsg::allowed_mask.
-  net::Bytes allowed_mask;
 };
 
 /// Terminal state of a query.
@@ -90,14 +82,5 @@ struct CompletionRecord {
   /// Full base-station outcome (completed queries only).
   core::IcpdaOutcome outcome;
 };
-
-/// Nominal epoch duration under `config`: flood launch + Phase II
-/// budget + the depth-scheduled close delay. The epoch clock is fixed
-/// by configuration (close_epoch fires unconditionally), so this is
-/// exact, which is what makes the admission deadline test exact too.
-[[nodiscard]] inline double nominal_epoch_s(const core::IcpdaConfig& config) {
-  return config.timing.start_delay_s + config.phase2_budget_s +
-         config.timing.close_delay().seconds();
-}
 
 }  // namespace icpda::service

@@ -30,7 +30,6 @@ TEST(AdaptivePcTest, FewerHeadsInDenseNetworks) {
   IcpdaConfig fixed;
   IcpdaConfig adaptive;
   adaptive.adaptive_pc = true;
-  adaptive.adapt_k = 2.0;
   const auto fixed_out = run_epoch(600, 51, fixed, proto::constant_reading(1.0));
   const auto adapt_out = run_epoch(600, 51, adaptive, proto::constant_reading(1.0));
   // At degree ~26, adaptive elects ~2 heads per neighbourhood's worth

@@ -389,8 +389,7 @@ EpochRecord run_epochs(const core::AdversaryPlan& plan, core::IcpdaConfig cfg, i
       if (!wrap) return app;
       return std::make_unique<PassThroughApp>(std::move(app), &rec.alarm_wakes);
     });
-    net.run(net.now() + sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
-            cfg.timing.close_delay() + sim::seconds(3.0));
+    net.run(net.now() + sim::seconds(core::nominal_epoch_s(cfg) + core::kEpochDrainGraceS));
     rec.outcomes.push_back(outcome_summary(out));
   }
   rec.counters = net.metrics().counters();

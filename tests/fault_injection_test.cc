@@ -44,8 +44,7 @@ struct FaultRig {
     });
     outcome.nodes_crashed =
         schedule_fault_plan(network, faults, network.rng().fork("faults"));
-    network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
-                cfg.timing.close_delay() + sim::seconds(3.0));
+    network.run(sim::seconds(nominal_epoch_s(cfg) + kEpochDrainGraceS));
   }
   AttackPlan attack_plan;
   IcpdaOutcome outcome;

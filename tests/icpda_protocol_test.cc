@@ -47,8 +47,7 @@ struct Rig {
     if (before_run) before_run(*this);
     // Bounded horizon (mirrors run_icpda_epoch): congested scenarios
     // can drain stragglers for a long simulated time.
-    network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
-                cfg.timing.close_delay() + sim::seconds(3.0));
+    network.run(sim::seconds(nominal_epoch_s(cfg) + kEpochDrainGraceS));
   }
   AttackPlan attack_plan;
   IcpdaOutcome outcome;
@@ -417,14 +416,15 @@ MaskedFrameRun run_with_masked_frames(
 }
 
 TEST(IcpdaProtocolTest, ClusterHelloFromExcludedNodeIsNeverJoined) {
-  // A masked-out node announces itself as a head to every neighbour
-  // that has heard the query and not yet picked a cluster: the guard
-  // drops each announcement, so nobody ever sends it a join.
+  // A masked-out node announces itself as a head to every neighbour:
+  // at the query instant, before the flood brings them the mask, or
+  // once each has heard the query. The guard drops the late
+  // announcements on arrival and the early ones when the mask arrives,
+  // so nobody ever sends it a join.
   constexpr net::NodeId x = 5;
-  const auto run = [&](bool inject) {
+  const auto run = [&](bool inject, const std::function<bool(const IcpdaApp&)>& ready) {
     return run_with_masked_frames(
-        x, inject, "icpda.head_excluded_ignored",
-        [](const IcpdaApp& app) { return app.joined_tree(); },
+        x, inject, "icpda.head_excluded_ignored", ready,
         [&](net::NodeId to) {
           proto::ClusterHelloMsg hello;
           hello.query_id = IcpdaConfig{}.query_id;
@@ -443,14 +443,19 @@ TEST(IcpdaProtocolTest, ClusterHelloFromExcludedNodeIsNeverJoined) {
           return join && join->head == x;
         });
   };
-  const MaskedFrameRun clean = run(false);
-  const MaskedFrameRun injected = run(true);
+  const auto at_query_instant = [](const IcpdaApp&) { return true; };
+  const auto after_the_query = [](const IcpdaApp& app) { return app.joined_tree(); };
+  const MaskedFrameRun clean = run(false, after_the_query);
   EXPECT_EQ(clean.metric, 0u);
-  EXPECT_GE(injected.metric, 1u);
-  EXPECT_EQ(injected.leaked, 0u) << "a node joined the excluded head";
   ASSERT_TRUE(clean.result.has_value());
-  ASSERT_TRUE(injected.result.has_value());
-  EXPECT_EQ(*injected.result, *clean.result);  // bit-identical: never heard
+  for (const auto& ready : {std::function<bool(const IcpdaApp&)>(at_query_instant),
+                            std::function<bool(const IcpdaApp&)>(after_the_query)}) {
+    const MaskedFrameRun injected = run(true, ready);
+    EXPECT_GE(injected.metric, 1u);
+    EXPECT_EQ(injected.leaked, 0u) << "a node joined the excluded head";
+    ASSERT_TRUE(injected.result.has_value());
+    EXPECT_EQ(*injected.result, *clean.result);  // bit-identical: never heard
+  }
 }
 
 TEST(IcpdaProtocolTest, JoinFromExcludedNodeNeverReachesTheRoster) {
@@ -504,40 +509,44 @@ TEST(IcpdaProtocolTest, AppRequiresAttackPlanAndOutcome) {
 }
 
 /// Take over reception as ShareFailingAuthenticationIsNeverMerged
-/// does, and pass every cluster digest copy that reaches one member —
-/// the first non-head member of the first digest heard — through
-/// `forge` first. Returns that member (kNoNode before any digest).
-std::shared_ptr<net::NodeId> forge_member_digests(
-    net::Network& network,
-    std::function<void(proto::ClusterDigestMsg&, std::size_t member_idx)> forge) {
-  auto target = std::make_shared<net::NodeId>(net::kNoNode);
+/// does: every intact frame reaches its receiver's MAC through
+/// `rewrite`, which may edit the frame or return false to drop it.
+void rewrite_deliveries(net::Network& network,
+                        std::function<bool(net::NodeId receiver, net::Frame&)> rewrite) {
   auto last_seen =
       std::make_shared<std::map<std::pair<net::NodeId, net::NodeId>, std::uint32_t>>();
-  network.channel().set_delivery([&network, target, last_seen, forge = std::move(forge)](
+  network.channel().set_delivery([&network, last_seen, rewrite = std::move(rewrite)](
                                      net::NodeId r, const net::Frame& frame,
                                      net::ReceptionStatus status) {
     if (status != net::ReceptionStatus::kOk) return;
     if (frame.type == net::kMacAck && frame.dst != r) return;
-    std::uint32_t& seen = (*last_seen)[{frame.src, r}];
+    net::Frame delivered = frame;
+    if (!rewrite(r, delivered)) return;
+    network.mac(r).handle_reception(delivered, (*last_seen)[{frame.src, r}]);
+  });
+}
+
+/// Pass every cluster digest copy that reaches one member — the first
+/// non-head member of the first digest heard — through `forge` first.
+/// Returns that member (kNoNode before any digest).
+std::shared_ptr<net::NodeId> forge_member_digests(
+    net::Network& network,
+    std::function<void(proto::ClusterDigestMsg&, std::size_t member_idx)> forge) {
+  auto target = std::make_shared<net::NodeId>(net::kNoNode);
+  rewrite_deliveries(network, [target, forge = std::move(forge)](net::NodeId r,
+                                                                  net::Frame& frame) {
     auto digest = frame.type == proto::kClusterDigest
                       ? proto::ClusterDigestMsg::from_bytes(frame.payload)
                       : std::nullopt;
     if (digest && *target == net::kNoNode && digest->members.size() >= 2) {
       *target = digest->members[1];
     }
-    if (!digest || r != *target) {
-      network.mac(r).handle_reception(frame, seen);
-      return;
-    }
+    if (!digest || r != *target) return true;
     const auto at = std::find(digest->members.begin(), digest->members.end(), r);
-    if (at == digest->members.end()) {  // a foreign cluster's digest
-      network.mac(r).handle_reception(frame, seen);
-      return;
-    }
+    if (at == digest->members.end()) return true;  // a foreign cluster's digest
     forge(*digest, static_cast<std::size_t>(at - digest->members.begin()));
-    net::Frame forged = frame;
-    forged.payload = digest->to_bytes();
-    network.mac(r).handle_reception(forged, seen);
+    frame.payload = digest->to_bytes();
+    return true;
   });
   return target;
 }
@@ -578,6 +587,86 @@ TEST(IcpdaProtocolTest, DigestWithAnotherContributorSetIsNotEndorsed) {
   EXPECT_EQ(network.metrics().counter("icpda.digest_forged_f"), 0u);
   EXPECT_FALSE(rig.apps[*target]->cluster_value().has_value())
       << "witness armed on a digest it cannot vouch for";
+}
+
+TEST(IcpdaProtocolTest, RosterWithADuplicateSeedIsRefused) {
+  // Interpolation needs distinct seeds: a member handed a round-0
+  // roster that repeats one counts bad_roster, drops out unclustered
+  // and never sends an F for it.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  net::NodeId target = net::kNoNode;
+  rewrite_deliveries(network, [&](net::NodeId r, net::Frame& frame) {
+    if (frame.type != proto::kClusterRoster) return true;
+    auto roster = proto::ClusterRosterMsg::from_bytes(frame.payload);
+    if (!roster || roster->round != 0 || roster->members.size() < 3) return true;
+    if (target == net::kNoNode) target = roster->members[1];
+    if (r != target || roster->members[1] != target) return true;
+    roster->seeds.back() = roster->seeds.front();
+    frame.payload = roster->to_bytes();
+    return true;
+  });
+  std::size_t target_fs = 0;
+  network.channel().add_tap([&](net::NodeId sender, const net::Frame& f) {
+    target_fs += sender == target && f.type == proto::kFAnnounce;
+  });
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  ASSERT_NE(target, net::kNoNode);
+  EXPECT_GE(network.metrics().counter("icpda.bad_roster"), 1u);
+  EXPECT_EQ(rig.apps[target]->role(), ClusterRole::kUnclustered);
+  EXPECT_FALSE(rig.apps[target]->cluster().has_roster());
+  EXPECT_EQ(target_fs, 0u) << "the member sent an F for a roster it refused";
+  // A refused roster leaves its member out of the outcome's tally.
+  const auto rostered = std::count_if(rig.apps.begin(), rig.apps.end(), [](const IcpdaApp* a) {
+    return a->role() == ClusterRole::kMember && a->cluster().has_roster();
+  });
+  EXPECT_EQ(rig.outcome.members, static_cast<std::uint32_t>(rostered));
+}
+
+TEST(IcpdaProtocolTest, RecoveryRosterWithAZeroSeedLeavesRoundZeroIntact) {
+  // A head whose F from one member never arrives re-fixes its roster
+  // to the survivors (Phase II recovery). One surviving member gets
+  // that recovery roster with a zero seed: it counts bad_roster and
+  // keeps its round-0 roster and round, sending nothing for round 1.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  std::optional<proto::ClusterRosterMsg> round0;
+  net::NodeId target = net::kNoNode;
+  rewrite_deliveries(network, [&](net::NodeId r, net::Frame& frame) {
+    if (frame.type == proto::kFAnnounce && round0 && r == round0->head &&
+        frame.src == round0->members.back()) {
+      return false;  // the last member's F never reaches the head
+    }
+    if (frame.type != proto::kClusterRoster) return true;
+    auto roster = proto::ClusterRosterMsg::from_bytes(frame.payload);
+    if (!roster) return true;
+    if (!round0 && roster->round == 0 && roster->members.size() >= 4) {
+      round0 = roster;
+      target = roster->members[1];
+    }
+    if (!round0 || roster->round == 0 || roster->head != round0->head || r != target) {
+      return true;
+    }
+    roster->seeds.back() = 0;
+    frame.payload = roster->to_bytes();
+    return true;
+  });
+  std::size_t round1_frames = 0;
+  network.channel().add_tap([&](net::NodeId sender, const net::Frame& f) {
+    if (sender != target || f.type != proto::kFAnnounce) return;
+    const auto msg = proto::FAnnounceMsg::from_bytes(f.payload);
+    round1_frames += msg && msg->round != 0;
+  });
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  ASSERT_TRUE(round0.has_value());
+  EXPECT_GE(network.metrics().counter("icpda.phase2_recovery"), 1u);
+  EXPECT_GE(network.metrics().counter("icpda.bad_roster"), 1u);
+  const ClusterContext& ctx = rig.apps[target]->cluster();
+  EXPECT_EQ(ctx.members(), round0->members);
+  EXPECT_EQ(ctx.seed_ints(), round0->seeds);
+  EXPECT_EQ(round1_frames, 0u) << "the member ran the round it refused";
 }
 
 /// Parameterized density sweep: coverage (heads+members) must stay

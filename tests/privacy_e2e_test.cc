@@ -26,8 +26,7 @@ struct EpochRig {
       apps.push_back(app.get());
       return app;
     });
-    network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
-                cfg.timing.close_delay() + sim::seconds(3.0));
+    network.run(sim::seconds(core::nominal_epoch_s(cfg) + core::kEpochDrainGraceS));
   }
   core::AttackPlan attack;
   core::IcpdaOutcome outcome;

@@ -1,17 +1,18 @@
 #!/usr/bin/env sh
-# Run the fault-path test binaries under sanitizers, in three passes:
+# Run the test binaries under sanitizers, in three passes:
 #
-#   1. asan  — AddressSanitizer + UBSan together: object-lifetime bugs
-#      on the crash/purge/recovery paths the happy path never touches,
-#      index bugs in the scheduler's slot-id buckets and tie heap
-#      (SchedulerPropertyTest's differential suite), and out-of-bounds
-#      reads in the field-list wire codec under the hostile-input
-#      corpus (MessagesTest, MessagesFuzzTest).
-#   2. ubsan — UBSan alone: no shadow-memory slowdown, so the
-#      allocation-heavy randomized suites (property/fuzz, label `slow`)
-#      join the run and hostile-input UB gets real coverage; the
-#      `slow` bench_fault shard grid and N=20k footprint gate come
-#      along (the whole `slow` part takes ~160 s on 4 cores).
+#   1. asan  — AddressSanitizer + UBSan together over every unit test
+#      (all of ctest but the `slow` and `smoke` labels): object-lifetime
+#      bugs on the crash/purge/recovery paths the happy path never
+#      touches, index bugs in the scheduler's slot-id buckets and tie
+#      heap, and out-of-bounds reads in the field-list wire codec under
+#      the hostile-input corpus. The `smoke` bench runs stay out: they
+#      take ~3 min under ASan on 4 cores, the unit tests ~25 s.
+#   2. ubsan — UBSan alone over the same set: no shadow-memory
+#      slowdown, so the allocation-heavy randomized suites (property/
+#      fuzz, label `slow`) join the run and hostile-input UB gets real
+#      coverage; the `slow` bench_fault shard grid and N=20k footprint
+#      gate come along (the whole `slow` part takes ~160 s on 4 cores).
 #   3. tsan  — ThreadSanitizer over the sharded-engine suites: the
 #      conservative-PDES worker drains (net/shard_engine.cc) run
 #      concurrent Scheduler::run_before on a shared Channel, and the
@@ -20,10 +21,12 @@
 #      its cells run concurrently in descending slot order while the
 #      caller reduces and emits rows in point order.
 #
-# Usage: tests/run_sanitized.sh [extra ctest -R regex]
+# Usage: tests/run_sanitized.sh [ctest -R regex]
 #
-# ICPDA_SAN_LANES selects a subset of passes (default "asan ubsan
-# tsan") so CI can split the lanes into separate jobs.
+# A regex narrows the asan and ubsan passes to the matching tests (the
+# ubsan `slow` part and the tsan pass are unchanged). ICPDA_SAN_LANES
+# selects a subset of passes (default "asan ubsan tsan") so CI can
+# split the lanes into separate jobs.
 set -eu
 
 repo_root="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
@@ -31,20 +34,24 @@ cd "$repo_root"
 jobs="$(nproc 2>/dev/null || echo 4)"
 lanes="${ICPDA_SAN_LANES:-asan ubsan tsan}"
 
-filter="${1:-MessagesTest|MessagesFuzzTest|SchedulerPropertyTest|FaultInjectionTest|MacFailureTest|LossGuardTest|TraceTest|TraceConservationTest|AttackTest|ServiceTest|CryptoBatchTest|EpochArenaTest|AllocRegressionTest|ChannelMacTest|ChannelFanoutTest|FloodHoldTest|OverhearMaskTest|NodeTest|IcpdaIntegrationTest.NonFinitePollutionIsRejected}"
+if [ -n "${1:-}" ]; then
+  set -- -R "$1"
+else
+  set -- -LE 'slow|smoke'
+fi
 
 case " $lanes " in *" asan "*)
   echo "== asan (address+undefined) =="
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -R "$filter"
+  ctest --test-dir build-asan --output-on-failure -j "$jobs" "$@"
 esac
 
 case " $lanes " in *" ubsan "*)
   echo "== ubsan (undefined only, including slow suites) =="
   cmake --preset ubsan
   cmake --build --preset ubsan -j "$jobs"
-  ctest --test-dir build-ubsan --output-on-failure -R "$filter"
+  ctest --test-dir build-ubsan --output-on-failure -j "$jobs" "$@"
   ctest --test-dir build-ubsan --output-on-failure -L slow
 esac
 

@@ -317,7 +317,7 @@ TEST(ServiceTest, QuerySpansAndLifecycleCountersAppearInTrace) {
   network.enable_trace();
 
   auto cfg = exact_service(4);
-  cfg.trace_query_spans = true;
+  cfg.protocol.trace_query_spans = true;
   service::Dispatcher dispatcher(network, cfg, &keys, integer_reading);
   dispatcher.run();
   ASSERT_EQ(dispatcher.completed(), 4u);

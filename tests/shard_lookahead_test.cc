@@ -37,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -438,6 +439,48 @@ TEST(ShardLookaheadTest, EventExceptionPropagatesWithoutDeadlock) {
   scheds[1]->at(sim::seconds(1.0), [] {}, 9);
   ShardEngine engine(raw_ptrs(scheds), kLookahead, pool);
   EXPECT_THROW(engine.run(sim::SimTime::infinity(), false), std::runtime_error);
+}
+
+// The first exception wins wherever it is thrown, and every worker
+// returns. An interior event that throws in a parallel drain (the
+// worker's catch) stops the run before the gate plays a later border
+// event; a border event that throws in the gate (the re-plan's catch)
+// stops it before a later interior event drains. run() rethrows the
+// first error either way, and the pool then takes new work.
+TEST(ShardLookaheadTest, FirstExceptionWinsInDrainOrGate) {
+  runner::ThreadPool pool(2);
+  for (const bool drain_first : {true, false}) {
+    SCOPED_TRACE(drain_first ? "drain throws first" : "gate throws first");
+    const auto scheds = make_shards(2);
+    std::atomic<int> drain_runs{0};
+    std::atomic<int> gate_runs{0};
+    const sim::SimTime early = kLookahead * 2.0;
+    const sim::SimTime late = kLookahead * 8.0;
+    scheds[0]->at(
+        drain_first ? early : late,
+        [&drain_runs] {
+          ++drain_runs;
+          throw std::runtime_error("drain");
+        },
+        1, /*border=*/false);
+    scheds[1]->at(
+        drain_first ? late : early,
+        [&gate_runs] {
+          ++gate_runs;
+          throw std::runtime_error("gate");
+        },
+        4096 + 1, /*border=*/true);
+    ShardEngine engine(raw_ptrs(scheds), kLookahead, pool);
+    try {
+      engine.run(sim::SimTime::infinity(), /*serialize_all=*/false);
+      ADD_FAILURE() << "run() returned without rethrowing";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), drain_first ? "drain" : "gate");
+    }
+    EXPECT_EQ(drain_runs.load(), drain_first ? 1 : 0);
+    EXPECT_EQ(gate_runs.load(), drain_first ? 0 : 1);
+    pool.submit([] {}).get();
+  }
 }
 
 }  // namespace
