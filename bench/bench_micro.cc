@@ -8,7 +8,6 @@
 // tables quote kernels by name and Arg, so keep both stable.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <vector>
@@ -306,7 +305,7 @@ void BM_IcpdaEpoch(benchmark::State& state) {
   // Full iCPDA epochs on one paper-density deployment: the end-to-end
   // number the T3 wall-clock-vs-N experiment tracks. The deployment is
   // built outside the timed region; each iteration is one epoch.
-  // Always single-shard — BM_IcpdaEpochSharded owns that axis.
+  // Always single-shard — bench_footprint times sharded epochs.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto keys = bench::default_keys();
   net::Network network(bench::paper_network(n, 0x9E3779B9));
@@ -322,59 +321,6 @@ void BM_IcpdaEpoch(benchmark::State& state) {
       static_cast<double>(events) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_IcpdaEpoch)->Arg(500)->Arg(1000)->Arg(2000)->Unit(benchmark::kMillisecond);
-
-void BM_IcpdaEpochSharded(benchmark::State& state) {
-  // The sharded engine on one constant-density deployment:
-  // range(0) = N, range(1) = shard count. The field scales as
-  // 20*sqrt(N) per side so neighbourhood size (and hence per-node
-  // work) stays at the paper's density while N grows — at the default
-  // 400x400 field, N=100k would be one giant collision domain.
-  // Events come from the engine's own counters: in a sharded Network
-  // scheduler() is a detached empty heap, so executed() reads zero.
-  // parallel_fraction is the share of events drained inside concurrent
-  // windows (vs the serialized gate) — the upper bound on speedup.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  const auto keys = bench::default_keys();
-  net::NetworkConfig net_cfg = bench::paper_network(n, 0x9E3779B9);
-  net_cfg.shards = shards;
-  const double side = 20.0 * std::sqrt(static_cast<double>(n));
-  net_cfg.field_width_m = side;
-  net_cfg.field_height_m = side;
-  net::Network network(net_cfg);
-  const core::IcpdaConfig cfg;
-  std::uint64_t parallel = 0, gated = 0, rounds = 0, gate_rounds = 0;
-  std::uint64_t last_executed = 0;
-  for (auto _ : state) {
-    core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys);
-    if (const net::ShardEngine* eng = network.shard_engine()) {
-      // Engine stats are per-run (one run per epoch); executed() below
-      // is cumulative, hence the delta.
-      parallel += eng->stats().parallel_events;
-      gated += eng->stats().gate_events;
-      rounds += eng->stats().rounds;
-      gate_rounds += eng->stats().gate_rounds;
-    } else {
-      parallel += network.scheduler().executed() - last_executed;
-      last_executed = network.scheduler().executed();
-    }
-  }
-  const double events = static_cast<double>(parallel + gated);
-  state.SetItemsProcessed(static_cast<std::int64_t>(parallel + gated));
-  state.counters["events_per_epoch"] =
-      benchmark::Counter(events / static_cast<double>(state.iterations()));
-  state.counters["parallel_fraction"] = benchmark::Counter(
-      events > 0 ? static_cast<double>(parallel) / events : 1.0);
-  state.counters["rounds_per_epoch"] = benchmark::Counter(
-      static_cast<double>(rounds) / static_cast<double>(state.iterations()));
-  state.counters["gate_round_fraction"] = benchmark::Counter(
-      rounds > 0 ? static_cast<double>(gate_rounds) / static_cast<double>(rounds)
-                 : 0.0);
-}
-BENCHMARK(BM_IcpdaEpochSharded)
-    ->Args({2000, 1})
-    ->Args({2000, 8})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ServicePipeline(benchmark::State& state) {
   // One continuous-query service run: 8 queries offered at 0.4 q/s —
@@ -424,8 +370,9 @@ BENCHMARK(BM_TopologyBuild)->Arg(200)->Arg(600)->Arg(2000);
 
 // The smoke lane runs every registered benchmark, so the expensive T3
 // scaling points (N=3000..5000 is minutes of wall-clock per pass) are
-// only registered under ICPDA_BIG_N=1. Larger constant-density epochs
-// are footprint_probe's (`tools/perf_vs_parent.sh footprint:<N>x<S>`).
+// only registered under ICPDA_BIG_N=1. Larger and sharded constant-
+// density epochs are bench_footprint's (`tools/perf_vs_parent.sh
+// footprint:<N>x<S>`).
 int main(int argc, char** argv) {
   if (std::getenv("ICPDA_BIG_N")) {
     benchmark::RegisterBenchmark("BM_IcpdaEpoch", BM_IcpdaEpoch)

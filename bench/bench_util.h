@@ -55,6 +55,7 @@ enum class Experiment : std::uint64_t {
   kFault = 18,              // F9
   kAttack = 19,             // A5: Byzantine adversary suite
   kService = 20,            // S1: continuous-query service under load
+  kFootprint = 21,          // T6: fixed deployment seed; id only namespaces cells
 };
 
 /// A malformed environment variable is a hard error, not a silent

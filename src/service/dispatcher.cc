@@ -73,12 +73,7 @@ void Dispatcher::launch(const QueryDescriptor& q) {
   ++in_flight_;
 
   const sim::SimTime now = net_.scheduler().now();
-  CompletionRecord rec;
-  rec.id = q.id;
-  rec.kind = q.kind;
-  rec.arrival = q.arrival;
-  rec.launched = now;
-  records_.push_back(rec);  // filled in by complete()
+  records_[q.id - 1].launched = now;  // the rest is filled in by complete()
 
   net_.metrics().add("service.launched");
   net_.metrics().observe("service.queue_wait_s",
@@ -93,12 +88,7 @@ void Dispatcher::launch(const QueryDescriptor& q) {
 }
 
 void Dispatcher::drop(const QueryDescriptor& q, QueryStatus status) {
-  CompletionRecord rec;
-  rec.id = q.id;
-  rec.kind = q.kind;
-  rec.status = status;
-  rec.arrival = q.arrival;
-  records_.push_back(rec);
+  records_[q.id - 1].status = status;
   net_.metrics().add(status == QueryStatus::kRejectedQueue
                          ? "service.rejected_queue"
                          : "service.dropped_deadline");
@@ -112,31 +102,22 @@ void Dispatcher::complete(std::uint32_t query_id) {
   query->active = false;
   --in_flight_;
 
-  CompletionRecord* rec = nullptr;
-  for (auto& r : records_) {
-    if (r.id == query_id) {
-      rec = &r;
-      break;
-    }
-  }
-  if (rec != nullptr) {
-    const core::IcpdaOutcome& out = query->outcome;
-    rec->status = QueryStatus::kCompleted;
-    rec->closed = out.closed_at;
-    rec->latency_s = (out.closed_at - rec->arrival).seconds();
-    rec->settle_s = out.last_report_at > rec->launched
-                        ? (out.last_report_at - rec->launched).seconds()
-                        : 0.0;
-    const proto::Aggregate result =
-        out.result ? *out.result : proto::Aggregate{};
-    rec->value = finish_aggregate(rec->kind, result);
-    rec->abs_error = std::abs(rec->value - finish_aggregate(rec->kind, truth_));
-    rec->coverage = allowed_sensors_ > 0
-                        ? result.count / static_cast<double>(allowed_sensors_)
-                        : 0.0;
-    rec->accepted = out.accepted();
-    rec->outcome = out;
-  }
+  CompletionRecord& rec = records_[query_id - 1];
+  const core::IcpdaOutcome& out = query->outcome;
+  rec.status = QueryStatus::kCompleted;
+  rec.closed = out.closed_at;
+  rec.latency_s = (out.closed_at - rec.arrival).seconds();
+  rec.settle_s = out.last_report_at > rec.launched
+                     ? (out.last_report_at - rec.launched).seconds()
+                     : 0.0;
+  const proto::Aggregate result = out.result ? *out.result : proto::Aggregate{};
+  rec.value = finish_aggregate(rec.kind, result);
+  rec.abs_error = std::abs(rec.value - finish_aggregate(rec.kind, truth_));
+  rec.coverage = allowed_sensors_ > 0
+                     ? result.count / static_cast<double>(allowed_sensors_)
+                     : 0.0;
+  rec.accepted = out.accepted();
+  rec.outcome = out;
   net_.metrics().add("service.completed");
   net_.tracer().counter(sim::kTraceGlobalNode, sim::TraceCounter::kQueryComplete,
                         query_id, net_.scheduler().now());
@@ -164,9 +145,10 @@ sim::SimTime Dispatcher::run() {
 
   // Poisson-by-seed arrival schedule, generated up front: the whole
   // offered-traffic process is a pure function of (seed, load, count).
+  // Ids are dense, so query q's record is records_[q.id - 1], made here
+  // and resolved in place by launch/drop/complete.
   sim::Rng arrivals(sim::seed_mix(config_.seed, 0xA221BA15, config_.query_count));
-  std::vector<QueryDescriptor> schedule;
-  schedule.reserve(config_.query_count);
+  records_.reserve(config_.query_count);
   double t = 0.0;
   for (std::uint32_t i = 0; i < config_.query_count; ++i) {
     t += arrivals.exponential(std::max(config_.offered_load_qps, 1e-9));
@@ -176,7 +158,10 @@ sim::SimTime Dispatcher::run() {
                  ? AggregateKind::kSum
                  : config_.kind_cycle[i % config_.kind_cycle.size()];
     q.arrival = sim::seconds(t);
-    schedule.push_back(q);
+    CompletionRecord& rec = records_.emplace_back();
+    rec.id = q.id;
+    rec.kind = q.kind;
+    rec.arrival = q.arrival;
     net_.scheduler().at(q.arrival, [this, q] { arrive(q); });
   }
 
@@ -184,17 +169,12 @@ sim::SimTime Dispatcher::run() {
   // either finishes or is dropped by then. A hard bound keeps any
   // congestion pathology from running the simulation forever.
   double bound = 0.0;
-  for (const auto& q : schedule) {
-    bound = std::max(bound, q.arrival.seconds()) + nominal_s_ + core::kEpochDrainGraceS;
+  for (const auto& r : records_) {
+    bound = std::max(bound, r.arrival.seconds()) + nominal_s_ + core::kEpochDrainGraceS;
   }
   net_.run(sim::seconds(bound + 5.0));
   // Balance the trace (close stray spans) and stamp the run boundary.
   net_.tracer().finalize_epoch(net_.scheduler().now());
-
-  std::sort(records_.begin(), records_.end(),
-            [](const CompletionRecord& a, const CompletionRecord& b) {
-              return a.id < b.id;
-            });
   return net_.scheduler().now();
 }
 

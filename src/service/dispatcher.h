@@ -71,7 +71,8 @@ class Dispatcher {
   /// once. Returns simulated end time.
   sim::SimTime run();
 
-  /// One record per generated query, sorted by query id.
+  /// One record per generated query, in id order: query q's is
+  /// records()[q.id - 1].
   [[nodiscard]] const std::vector<CompletionRecord>& records() const {
     return records_;
   }

@@ -1,7 +1,5 @@
 #include "sim/metrics.h"
 
-#include <stdexcept>
-
 namespace icpda::sim {
 
 void RunningStats::merge(const RunningStats& other) {
@@ -20,45 +18,6 @@ void RunningStats::merge(const RunningStats& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || width_ != other.width_ ||
-      counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument("Histogram::merge: bucket geometry mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cum + c >= target) {
-      const double frac = c > 0 ? (target - cum) / c : 0.0;
-      return bucket_lo(i) + frac * width_;
-    }
-    cum += c;
-  }
-  return bucket_hi(counts_.size() - 1);
 }
 
 void MetricRegistry::add_slow(CacheEntry& e, std::string_view counter,

@@ -1,4 +1,4 @@
-// Measurement plumbing: counters, running statistics and histograms.
+// Measurement plumbing: counters and running statistics.
 //
 // Every experiment in bench/ reports through a MetricRegistry owned by
 // its Simulation, so the figures are regenerated from the same counters
@@ -16,7 +16,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace icpda::sim {
 
@@ -62,34 +61,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to
-/// the edge buckets so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-
-  /// Merge a histogram with identical bucketing (same lo/hi/count);
-  /// throws std::invalid_argument on a geometry mismatch.
-  void merge(const Histogram& other);
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  [[nodiscard]] double bucket_hi(std::size_t i) const { return bucket_lo(i) + width_; }
-
-  /// Value below which fraction q of samples fall (linear interpolation
-  /// within the bucket). q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Named counters + named stats.

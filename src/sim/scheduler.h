@@ -245,7 +245,7 @@ class Scheduler {
   /// buckets, border index) — capacity-based, so it reports high-water
   /// footprint, not the instantaneous queue depth. The counter table is
   /// excluded: it may be shared, so its holder counts it once. Feeds
-  /// the footprint probe (analysis/footprint_main.cc).
+  /// Network::footprint (bench/bench_footprint.cc).
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "sim/trace.h"
 
 #include <algorithm>
-#include <string>
 
 namespace icpda::sim {
 
@@ -49,22 +48,6 @@ const char* trace_kind_name(TraceEvent::Kind k) {
   return "?";
 }
 
-TracePhase trace_phase_from_name(const std::string& name) {
-  for (std::uint8_t i = 0; i < static_cast<std::uint8_t>(TracePhase::kMaxPhase); ++i) {
-    const auto p = static_cast<TracePhase>(i);
-    if (name == trace_phase_name(p)) return p;
-  }
-  return TracePhase::kMaxPhase;
-}
-
-TraceCounter trace_counter_from_name(const std::string& name) {
-  for (std::uint8_t i = 0; i < static_cast<std::uint8_t>(TraceCounter::kMaxCounter); ++i) {
-    const auto c = static_cast<TraceCounter>(i);
-    if (name == trace_counter_name(c)) return c;
-  }
-  return TraceCounter::kMaxCounter;
-}
-
 void Tracer::enable(std::size_t node_count, Config config) {
   if constexpr (!kTraceCompiled) return;
   config_ = config;
@@ -78,12 +61,6 @@ void Tracer::enable(std::size_t node_count, Config config) {
   dropped_ = 0;
   epoch_ = 0;
   enabled_ = true;
-}
-
-void Tracer::disable() {
-  enabled_ = false;
-  rings_.clear();
-  stacks_.clear();
 }
 
 Tracer::Ring& Tracer::ring_for(std::uint32_t node) {

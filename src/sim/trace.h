@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -105,11 +104,6 @@ struct TraceEvent {
 [[nodiscard]] const char* trace_counter_name(TraceCounter c);
 [[nodiscard]] const char* trace_kind_name(TraceEvent::Kind k);
 
-/// Parse helpers for the trace_report CLI (inverse of the *_name
-/// functions; return the sentinel on unknown names).
-[[nodiscard]] TracePhase trace_phase_from_name(const std::string& name);
-[[nodiscard]] TraceCounter trace_counter_from_name(const std::string& name);
-
 class Tracer {
  public:
   struct Config {
@@ -136,9 +130,6 @@ class Tracer {
   /// heap allocation happens here, none on the record path.
   void enable(std::size_t node_count, Config config);
   void enable(std::size_t node_count) { enable(node_count, Config{}); }
-
-  /// Stop recording and release every ring.
-  void disable();
 
   /// Sharded recording mode (set by the Network when it runs the
   /// parallel engine): sequence numbers and drop counts become

@@ -669,6 +669,54 @@ TEST(IcpdaProtocolTest, RecoveryRosterWithAZeroSeedLeavesRoundZeroIntact) {
   EXPECT_EQ(round1_frames, 0u) << "the member ran the round it refused";
 }
 
+TEST(IcpdaProtocolTest, HeadReportAuditedBeforeTheDigestIsNoKnowledge) {
+  // A witness that has not solved its cluster sum has nothing to check
+  // its head's own report against: it counts audit_no_knowledge and
+  // raises no alarm. The member overhears a report from its head just
+  // after taking its roster, long before any digest can arrive.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  net::NodeId target = net::kNoNode;
+  bool armed_when_heard = true;
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys, {}, [&](Rig& r) {
+    rewrite_deliveries(network, [&](net::NodeId receiver, net::Frame& frame) {
+      if (target != net::kNoNode || frame.type != proto::kClusterRoster) return true;
+      const auto roster = proto::ClusterRosterMsg::from_bytes(frame.payload);
+      // Not members[1]: a head report stands that member down as the
+      // cluster's backup reporter.
+      if (!roster || roster->round != 0 || roster->members.size() < 3 ||
+          receiver != roster->members.back()) {
+        return true;
+      }
+      target = receiver;
+      network.scheduler().after(sim::seconds(0.001), [&, head = roster->head] {
+        IcpdaApp& member = *r.apps[target];
+        armed_when_heard = member.cluster_value().has_value();
+        ASSERT_EQ(member.role(), ClusterRole::kMember);
+        proto::ReportMsg report;
+        report.query_id = cfg.query_id;
+        report.reporter = head;
+        report.aggregate = proto::Aggregate::of(1.0);
+        report.items.push_back(proto::ReportItem{head, report.aggregate});
+        net::Frame frame;
+        frame.src = head;
+        frame.dst = 0;
+        frame.type = proto::kClusterReport;
+        frame.payload = report.to_bytes();
+        member.on_overhear(network.node(target), frame);
+      });
+      return true;
+    });
+  });
+  ASSERT_NE(target, net::kNoNode);
+  EXPECT_FALSE(armed_when_heard) << "the member had solved its cluster sum already";
+  EXPECT_EQ(network.metrics().counter("icpda.audit_no_knowledge"), 1u);
+  EXPECT_EQ(network.metrics().counter("icpda.alarm_raised"), 0u);
+  EXPECT_TRUE(rig.outcome.alarms.empty());
+  EXPECT_TRUE(rig.outcome.accepted());
+}
+
 /// Parameterized density sweep: coverage (heads+members) must stay
 /// high across the paper's size range.
 class IcpdaCoverageTest : public ::testing::TestWithParam<std::size_t> {};

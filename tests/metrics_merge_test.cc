@@ -1,8 +1,8 @@
-// RunningStats::merge, Histogram::merge/quantile and
-// MetricRegistry::merge — the reduction semantics the parallel
-// campaign runner depends on (runner/campaign.h): merging per-cell
-// accumulators in a fixed order must reproduce the sequential
-// accumulation to floating-point-identity levels of agreement.
+// RunningStats::merge and MetricRegistry::merge — the reduction
+// semantics the parallel campaign runner depends on
+// (runner/campaign.h): merging per-cell accumulators in a fixed order
+// must reproduce the sequential accumulation to floating-point-identity
+// levels of agreement.
 #include "sim/metrics.h"
 
 #include <gtest/gtest.h>
@@ -111,55 +111,6 @@ TEST(RunningStatsMergeTest, MergeIsDeterministic) {
   EXPECT_EQ(a.mean(), b.mean());
   EXPECT_EQ(a.variance(), b.variance());
   EXPECT_EQ(a.sum(), b.sum());
-}
-
-TEST(HistogramQuantileTest, EmptyHistogramIsNaN) {
-  const Histogram h(0.0, 10.0, 5);
-  EXPECT_TRUE(std::isnan(h.quantile(0.5)));
-}
-
-TEST(HistogramQuantileTest, QZeroAndQOneHitTheSupportEdges) {
-  Histogram h(0.0, 10.0, 5);
-  for (int i = 0; i < 100; ++i) h.add(5.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);   // lower edge of the range
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 6.0);   // upper edge of the hit bucket [4,6)
-}
-
-TEST(HistogramQuantileTest, SingleBucketInterpolatesLinearly) {
-  Histogram h(0.0, 1.0, 1);
-  for (int i = 0; i < 10; ++i) h.add(0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.0);
-}
-
-TEST(HistogramQuantileTest, OutOfRangeQClamps) {
-  Histogram h(0.0, 1.0, 1);
-  h.add(0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(-3.0), h.quantile(0.0));
-  EXPECT_DOUBLE_EQ(h.quantile(7.0), h.quantile(1.0));
-}
-
-TEST(HistogramMergeTest, MergeSumsBucketsAndTotals) {
-  Histogram a(0.0, 10.0, 5);
-  Histogram b(0.0, 10.0, 5);
-  a.add(1.0);
-  a.add(9.0);
-  b.add(1.5);
-  b.add(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.buckets()[0], 2u);  // 1.0 and 1.5
-  EXPECT_EQ(a.buckets()[2], 1u);  // 5.0
-  EXPECT_EQ(a.buckets()[4], 1u);  // 9.0
-}
-
-TEST(HistogramMergeTest, GeometryMismatchThrows) {
-  Histogram a(0.0, 10.0, 5);
-  Histogram b(0.0, 10.0, 10);
-  Histogram c(1.0, 11.0, 5);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
 }
 
 TEST(MetricRegistryMergeTest, CountersAddAndStatsMerge) {

@@ -13,8 +13,9 @@
 #   2. ubsan — UBSan alone over the same set: no shadow-memory
 #      slowdown, so the allocation-heavy randomized suites (property/
 #      fuzz, label `slow`) join the run and hostile-input UB gets real
-#      coverage; the `slow` bench_fault shard grid and N=20k footprint
-#      gate come along (the whole `slow` part takes ~160 s on 4 cores).
+#      coverage; the `slow` bench_fault shard grid and the N=20k
+#      footprint gate (one bench_footprint epoch on 8 shards) come
+#      along (the whole `slow` part takes ~160 s on 4 cores).
 #   3. tsan  — ThreadSanitizer over the sharded-engine suites: the
 #      conservative-PDES worker drains (net/shard_engine.cc) run
 #      concurrent Scheduler::run_before on a shared Channel, and the

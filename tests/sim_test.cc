@@ -437,25 +437,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   EXPECT_EQ(a.count(), 1u);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-5.0);   // clamps into bucket 0
-  h.add(100.0);  // clamps into bucket 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[9], 2u);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-}
-
 TEST(MetricRegistryTest, CountersAndStats) {
   MetricRegistry m;
   m.add("x");

@@ -7,7 +7,7 @@ RUNS_DIR holds one output file per run, named PAIR-POS-SIDE: the pair's
 number, the run's position in the pair (1 or 2) and its tree (`ref` or
 `new`). KIND says what a run's output holds: `perfbench` (perfbench/run.py:
 BENCHMARK.json's end-to-end metrics), `micro` (bench_micro JSON: real_time
-per kernel) or `footprint` (footprint_probe JSON: epoch_s).
+per kernel) or `footprint` (bench_footprint's JSONL row: epoch_s).
 
 Per metric this prints both medians and interquartile ranges, the change
 of the median, the pairs the change won (a tie counts for neither side),
@@ -63,12 +63,12 @@ def metrics_of(kind, text):
             declared = json.load(f)["end_to_end"]
         return {s["name"]: (report["metrics"][s["name"]]["value"], s["unit"], s["better"])
                 for s in declared}
-    doc = json.loads(text)
     if kind == "micro":
         return {b["name"]: (b["real_time"], b["time_unit"], "lower")
-                for b in doc["benchmarks"] if b.get("run_type") != "aggregate"}
+                for b in json.loads(text)["benchmarks"] if b.get("run_type") != "aggregate"}
     if kind == "footprint":
-        return {"epoch_s": (doc["epoch_s"], "s", "lower")}
+        row = next(json.loads(line) for line in text.splitlines() if line.startswith("{"))
+        return {"epoch_s": (row["epoch_s"], "s", "lower")}
     raise SystemExit(f"ab_stats.py: unknown kind {kind}")
 
 

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Advisory memory-footprint gate for the N=1M scaling work.
 
-Runs (or is fed the JSON of) the footprint_probe binary — one iCPDA
-epoch at constant paper density with per-subsystem heap accounting —
-and compares bytes-per-node against the checked-in baseline
+Runs (or is fed the output of) bench_footprint — one iCPDA epoch at
+constant paper density with per-subsystem heap accounting, as one JSONL
+row — and compares bytes-per-node against the checked-in baseline
 (tools/footprint_baseline.json). A regression beyond the tolerance
 prints a loud warning and exits 1; use --update to re-baseline after
 an intentional change.
 
 Usage:
-    tools/mem_footprint.py --probe build/src/analysis/footprint_probe \
+    tools/mem_footprint.py --probe build/bench/bench_footprint \
         [--nodes 20000] [--shards 8] [--tolerance 1.25] [--update]
-    tools/mem_footprint.py --json probe_output.json   # pre-captured
+    tools/mem_footprint.py --json bench_output.jsonl   # pre-captured
 """
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -33,19 +34,24 @@ SUBSYSTEMS = [
 ]
 
 
-def run_probe(probe, nodes, shards, seed):
-    cmd = [probe, f"--nodes={nodes}", f"--shards={shards}", f"--seed={seed}"]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def row_of(text):
+    """The one row of a bench_footprint run (skipping its # header)."""
+    return next(json.loads(line) for line in text.splitlines() if line.startswith("{"))
+
+
+def run_probe(probe, nodes, shards):
+    out = subprocess.run([probe, f"--shards={shards}", "--no-progress"], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "ICPDA_N_AXIS": str(nodes)}).stdout
+    return row_of(out)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--probe", help="path to the footprint_probe binary")
-    ap.add_argument("--json", help="pre-captured probe JSON instead of running")
+    ap.add_argument("--probe", help="path to the bench_footprint binary")
+    ap.add_argument("--json", help="pre-captured bench_footprint output instead of running")
     ap.add_argument("--nodes", type=int, default=20000)
     ap.add_argument("--shards", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--tolerance", type=float, default=1.25,
                     help="fail above baseline bytes/node * tolerance")
     ap.add_argument("--update", action="store_true",
@@ -54,9 +60,9 @@ def main():
     args = ap.parse_args()
 
     if args.json:
-        report = json.loads(pathlib.Path(args.json).read_text())
+        report = row_of(pathlib.Path(args.json).read_text())
     elif args.probe:
-        report = run_probe(args.probe, args.nodes, args.shards, args.seed)
+        report = run_probe(args.probe, args.nodes, args.shards)
     else:
         ap.error("need --probe or --json")
 

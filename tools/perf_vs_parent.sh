@@ -15,7 +15,10 @@
 #                               reads both sets for the bound flags
 #   micro:<filter>              bench_micro real_time per kernel that
 #                               the google-benchmark filter matches
-#   footprint:<nodes>x<shards>  footprint_probe's epoch_s
+#   footprint:<nodes>x<shards>  bench_footprint's epoch_s; the
+#                               reference must have bench_footprint
+#                               too, so both revisions must be at or
+#                               after the commit that added it
 #
 # The trees are exported and built as by tools/rows_vs_parent.sh
 # (tools/parent_tree.sh), uncommitted edits included; with HEAD and a
@@ -33,7 +36,7 @@ cd "$repo_root"
 case "$target" in
   micro:*) kind=micro build=bench_micro ;;
   footprint:*)
-    kind=footprint build=footprint_probe
+    kind=footprint build=bench_footprint
     size="${target#footprint:}" nodes="${size%%x*}" shards="${size#*x}"
     case "$size/$nodes$shards" in
       [0-9]*x[0-9]*/*[!0-9]*) nodes= ;;
@@ -56,7 +59,7 @@ run() {  # run <tree> <output file>
   case "$kind" in
     perfbench) python3 "$1/perfbench/run.py" --workload "$target" ;;
     micro) "$1/build/bench/bench_micro" --benchmark_filter="${target#micro:}" --benchmark_format=json ;;
-    footprint) "$1/build/src/analysis/footprint_probe" --nodes="$nodes" --shards="$shards" ;;
+    footprint) ICPDA_N_AXIS="$nodes" "$1/build/bench/bench_footprint" --shards="$shards" --no-progress ;;
   esac >"$2" 2>"$2.log"
 }
 

@@ -20,12 +20,14 @@ def alternating(ref, new):
 
 
 def write_footprint_runs(runs_dir, ref, new):
-    """One footprint_probe output per run, named PAIR-POS-SIDE."""
+    """One bench_footprint output per run (header lines, then the row),
+    named PAIR-POS-SIDE."""
     for i, pair in enumerate(alternating(ref, new), start=1):
         order = ("ref", "new") if pair["first"] == "ref" else ("new", "ref")
         for pos, side in enumerate(order, start=1):
             with open(os.path.join(runs_dir, f"{i:02d}-{pos}-{side}"), "w") as f:
-                json.dump({"nodes": 2000, "epoch_s": pair[side]}, f)
+                f.write("# T6: memory footprint\n# trials per point: 1\n")
+                f.write(json.dumps({"nodes": 2000, "shards": 8, "epoch_s": pair[side]}) + "\n")
 
 
 class AbStatsTest(unittest.TestCase):
