@@ -35,7 +35,7 @@ bool exceeds(double d, double th) { return !(std::abs(d) <= th); }
 void IcpdaApp::start(net::Node& node) {
   if (!node.is_base_station()) return;
   joined_ = true;
-  node.schedule(sim::seconds(config_.timing.start_delay_s), [this, &node] {
+  set_timer(node, sim::seconds(config_.timing.start_delay_s), [this, &node] {
     // The BS opens the epoch: its query flood is Phase I traffic.
     node.tracer().switch_phase(node.id(), sim::TracePhase::kClusterFormation,
                                node.now(), span_tag());
@@ -48,7 +48,7 @@ void IcpdaApp::start(net::Node& node) {
     node.metrics().add("icpda.query_issued");
     const auto close_at =
         sim::seconds(config_.phase2_budget_s) + config_.timing.close_delay();
-    node.schedule(close_at, [this, &node] { close_epoch(node); });
+    set_timer(node, close_at, [this, &node] { close_epoch(node); });
   });
 }
 
@@ -152,7 +152,7 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
     rebroadcast.hop = static_cast<std::uint16_t>(hello->hop + 1);
     const auto jitter =
         sim::seconds(rng(node).uniform(0.0, config_.timing.hello_jitter_s));
-    node.schedule(jitter, [&node, payload = rebroadcast.to_bytes()]() mutable {
+    set_timer(node, jitter, [&node, payload = rebroadcast.to_bytes()]() mutable {
       node.broadcast(proto::kHello, std::move(payload));
     });
   }
@@ -202,14 +202,14 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
       (!adv_avoids && !config_.adaptive_pc && rng(node).bernoulli(config_.pc))) {
     become_head(node);
   } else {
-    node.schedule(sim::seconds(config_.join_delay_s),
-                  [this, &node] { decide_role(node, 1); });
+    set_timer(node, sim::seconds(config_.join_delay_s),
+              [this, &node] { decide_role(node, 1); });
   }
 
   // Phase III slot, fixed relative to tree join.
   const auto report_at = sim::seconds(config_.phase2_budget_s) +
                          config_.timing.report_delay(hop_);
-  node.schedule(report_at, [this, &node] { send_report(node); });
+  set_timer(node, report_at, [this, &node] { send_report(node); });
 }
 
 void IcpdaApp::become_head(net::Node& node) {
@@ -222,14 +222,14 @@ void IcpdaApp::become_head(net::Node& node) {
   msg.hop = hop_;
   const auto jitter =
       sim::seconds(rng(node).uniform(0.0, config_.timing.hello_jitter_s));
-  node.schedule(jitter, [&node, payload = msg.to_bytes()]() mutable {
+  set_timer(node, jitter, [&node, payload = msg.to_bytes()]() mutable {
     node.broadcast(proto::kClusterHello, std::move(payload));
   });
   // Stagger roster closing across heads so the cluster phases of
   // neighbouring clusters do not all contend at the same instants.
-  node.schedule(jitter + sim::seconds(config_.roster_delay_s +
-                                      rng(node).uniform(0.0, 0.4)),
-                [this, &node] { close_roster(node); });
+  set_timer(node, jitter + sim::seconds(config_.roster_delay_s +
+                                        rng(node).uniform(0.0, 0.4)),
+            [this, &node] { close_roster(node); });
 }
 
 void IcpdaApp::handle_cluster_hello(net::Node& node, const net::Frame& frame) {
@@ -263,15 +263,15 @@ void IcpdaApp::send_join(net::Node& node) {
   join.member = node.id();
   join.head = chosen_head_;
   const auto jitter = sim::seconds(rng(node).uniform(0.0, config_.join_jitter_s));
-  node.schedule(jitter, [this, &node, payload = join.to_bytes()]() mutable {
+  set_timer(node, jitter, [this, &node, payload = join.to_bytes()]() mutable {
     node.send(chosen_head_, proto::kJoin, std::move(payload));
   });
   node.metrics().add("icpda.join_sent");
   // Guard the timeout with the attempt counter: the MAC-failure fast
   // path below can re-join earlier, and a stale timer from the previous
   // join must not cut the new head's answer window short.
-  node.schedule(sim::seconds(config_.roster_timeout_s),
-                [this, &node, attempt = join_attempts_] {
+  set_timer(node, sim::seconds(config_.roster_timeout_s),
+            [this, &node, attempt = join_attempts_] {
     if (role_ == ClusterRole::kMember && !cluster_.has_roster() &&
         join_attempts_ == attempt) {
       node.metrics().add("icpda.roster_missed");
@@ -328,8 +328,8 @@ void IcpdaApp::decide_role(net::Node& node, std::uint32_t round) {
     become_head(node);
     return;
   }
-  node.schedule(sim::seconds(config_.join_delay_s),
-                [this, &node, round] { decide_role(node, round + 1); });
+  set_timer(node, sim::seconds(config_.join_delay_s),
+            [this, &node, round] { decide_role(node, round + 1); });
 }
 
 void IcpdaApp::handle_join(net::Node& node, const net::Frame& frame) {
@@ -446,7 +446,7 @@ void IcpdaApp::broadcast_roster(net::Node& node, const ClusterRosterMsg& roster)
   for (std::uint32_t rep = 0; rep < config_.roster_repeats; ++rep) {
     const auto at = sim::seconds(static_cast<double>(rep) * 0.04 +
                                  rng(node).uniform(0.0, 0.02));
-    node.schedule(at, [&node, payload = roster.to_bytes()]() mutable {
+    set_timer(node, at, [&node, payload = roster.to_bytes()]() mutable {
       node.broadcast(proto::kClusterRoster, std::move(payload));
     });
   }
@@ -458,22 +458,22 @@ void IcpdaApp::schedule_round(net::Node& node) {
   const std::size_t m = cluster_.size();
   const bool head = role_ == ClusterRole::kHead;
   const auto jitter = sim::seconds(rng(node).uniform(0.0, config_.share_window_s(m)));
-  node.schedule(jitter, [this, &node] { send_shares(node); });
+  set_timer(node, jitter, [this, &node] { send_shares(node); });
   // Members spread their F unicasts; the head records its own F in
   // place, so it draws no jitter.
   double announce_at = config_.assemble_at_s(m);
   if (!head) announce_at += rng(node).uniform(0.0, config_.f_jitter_s);
-  node.schedule(sim::seconds(announce_at), [this, &node] { announce_f(node); });
+  set_timer(node, sim::seconds(announce_at), [this, &node] { announce_f(node); });
   if (head) {
-    node.schedule(sim::seconds(config_.solve_at_s(m)),
-                  [this, &node] { solve_and_digest(node); });
+    set_timer(node, sim::seconds(config_.solve_at_s(m)),
+              [this, &node] { solve_and_digest(node); });
   } else if (phase2_round_ == 0) {
     // If the head dies before a digest reaches us, stop waiting: a
     // member with no endorsed cluster sum by this deadline has no
     // value in flight and no head to witness for. The deadline already
     // covers a recovery round, so a recovery roster arms no second one.
-    node.schedule(sim::seconds(config_.digest_deadline_s(m)),
-                  [this, &node] { digest_deadline(node); });
+    set_timer(node, sim::seconds(config_.digest_deadline_s(m)),
+              [this, &node] { digest_deadline(node); });
   }
 }
 
@@ -833,7 +833,7 @@ void IcpdaApp::solve_and_digest(net::Node& node) {
     const auto jitter = sim::seconds(
         rng(node).uniform(0.0, config_.share_jitter_s) +
         static_cast<double>(r) * 0.03);
-    node.schedule(jitter, [&node, payload = digest.to_bytes()]() mutable {
+    set_timer(node, jitter, [&node, payload = digest.to_bytes()]() mutable {
       node.broadcast(proto::kClusterDigest, std::move(payload));
     });
   }
@@ -975,14 +975,14 @@ void IcpdaApp::arm_backup_reporter(net::Node& node) {
   const auto report_at = last_slot + sim::seconds(config_.backup_slot_slack_s +
                                                   rng(node).uniform(0.0, 0.05));
   const auto now = node.now();
-  node.schedule(probe_at > now ? probe_at - now : sim::SimTime{}, [this, &node] {
+  set_timer(node, probe_at > now ? probe_at - now : sim::SimTime{}, [this, &node] {
     if (head_report_seen_ || role_ != ClusterRole::kMember || !f_sent_) return;
     probe_sent_ = true;
     node.send(cluster_.head(), proto::kFAnnounce, f_announce(node).to_bytes());
     node.metrics().add("icpda.backup_probe");
   });
-  node.schedule(report_at > now ? report_at - now : sim::SimTime{},
-                [this, &node] { backup_report(node); });
+  set_timer(node, report_at > now ? report_at - now : sim::SimTime{},
+            [this, &node] { backup_report(node); });
 }
 
 void IcpdaApp::backup_report(net::Node& node) {
@@ -1149,7 +1149,7 @@ void IcpdaApp::expect_forward(net::Node& node, net::NodeId reporter,
                                    config_.timing.report_delay(parent_hop);
   const sim::SimTime fire_at =
       std::max(node.now(), parent_slot) + sim::seconds(config_.watchdog_timeout_s);
-  node.schedule(fire_at - node.now(), [this, &node, idx] {
+  set_timer(node, fire_at - node.now(), [this, &node, idx] {
     if (idx >= watchdog_.size() || watchdog_[idx].satisfied) return;
     watchdog_[idx].satisfied = true;  // this entry's verdict is final
     const auto exp = watchdog_[idx];
@@ -1179,7 +1179,7 @@ void IcpdaApp::expect_forward(net::Node& node, net::NodeId reporter,
                            ? "icpda.watchdog_alarm_parent_active"
                            : "icpda.watchdog_alarm_parent_silent");
     raise_alarm(node, parent_, AlarmMsg::kDropSuspect,
-                /*expected=*/1.0, /*observed=*/0.0);
+            /*expected=*/1.0, /*observed=*/0.0);
   });
 }
 
@@ -1245,8 +1245,8 @@ void IcpdaApp::on_send_failed(net::Node& node, const net::Frame& frame) {
     }
     // No backup available: give the same parent its retry after all.
   }
-  node.schedule(
-      sim::seconds(0.1 + rng(node).uniform(0.0, 0.1)),
+  set_timer(
+      node, sim::seconds(0.1 + rng(node).uniform(0.0, 0.1)),
       [this, &node, reporter = exp->reporter, payload = exp->payload, attempt] {
         dispatch_up(node, reporter, payload, attempt);
         node.metrics().add("icpda.report_retried");
@@ -1290,7 +1290,7 @@ bool IcpdaApp::reroute_to_backup(net::Node& node) {
 void IcpdaApp::redispatch(net::Node& node, const net::Bytes& payload) {
   const auto backoff = sim::seconds(
       config_.reroute_backoff_s * (1.0 + rng(node).uniform(0.0, 1.0)));
-  node.schedule(backoff, [this, &node, payload] {
+  set_timer(node, backoff, [this, &node, payload] {
     const auto report = ReportMsg::from_bytes(payload);
     if (!report) return;
     dispatch_up(node, report->reporter, payload);
@@ -1492,8 +1492,8 @@ void IcpdaApp::schedule_replays(net::Node& node) {
     const double at = cap.type == proto::kClusterReport
                           ? config_.phase2_budget_s + rng(node).uniform(0.0, 0.4)
                           : 0.6 + rng(node).uniform(0.0, 0.6);
-    node.schedule(sim::seconds(at), [this, &node, type = cap.type, dst = cap.dst,
-                                     payload = cap.payload] {
+    set_timer(node, sim::seconds(at), [this, &node, type = cap.type, dst = cap.dst,
+                                       payload = cap.payload] {
       ++adv_->replays_injected;
       node.metrics().add("icpda.replay_injected");
       node.tracer().counter(node.id(), sim::TraceCounter::kAdversaryAction,

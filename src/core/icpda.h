@@ -32,6 +32,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/adversary.h"
@@ -145,7 +146,25 @@ class IcpdaApp final : public net::App {
   [[nodiscard]] std::uint16_t hop() const { return hop_; }
   [[nodiscard]] bool joined_tree() const { return joined_; }
 
+  /// Timers this app has set that have not fired yet. While it is
+  /// nonzero a closure holding `this` is queued, so the app must not be
+  /// destroyed. A timer the node's gate drops (node down at fire time,
+  /// App replaced) never fires and stays counted.
+  [[nodiscard]] std::uint32_t timers_pending() const { return timers_pending_; }
+
  private:
+  /// Every timer the app sets goes through here (there is no cancel),
+  /// which keeps timers_pending() exact. The count falls after `fn` has
+  /// run, so the app cannot be reclaimed from inside its own timer.
+  template <typename F>
+  void set_timer(net::Node& node, sim::SimTime delay, F&& fn) {
+    ++timers_pending_;
+    node.schedule(delay, [this, fn = std::forward<F>(fn)]() mutable {
+      fn();
+      --timers_pending_;
+    });
+  }
+
   // Phase I.
   void handle_hello(net::Node& node, const net::Frame& frame);
   void handle_cluster_hello(net::Node& node, const net::Frame& frame);
@@ -267,6 +286,7 @@ class IcpdaApp final : public net::App {
   const AdversaryPlan* adversary_ = nullptr;
   AdversaryState* adv_ = nullptr;
   sim::Rng* rng_override_ = nullptr;
+  std::uint32_t timers_pending_ = 0;
   /// digest_crosscheck: head id -> F sum it self-announced on the air.
   std::map<net::NodeId, double> head_f_seen_;
 

@@ -6,24 +6,7 @@ namespace icpda::net {
 
 sim::SimTime Node::now() const { return network_.scheduler_for(id_).now(); }
 
-sim::EventId Node::schedule(sim::SimTime delay, sim::EventFn fn) {
-  // Liveness gate at fire time, not at schedule time: a node that
-  // crashes loses its pending application timers (its program state is
-  // gone), and a node that was down when the timer was set may be back
-  // up when it fires. A timer also dies with the App that set it:
-  // once attach_app has replaced that App, the closure may point into
-  // freed memory. Timers run on the node's home-shard scheduler,
-  // owner-tagged, and are never border events: application handlers
-  // only touch the node's own state and send through its own MAC.
-  return network_.scheduler_for(id_).after(
-      delay,
-      [this, generation = app_generation_, fn = std::move(fn)]() mutable {
-        if (alive_ && generation == app_generation_) fn();
-      },
-      id_);
-}
-
-void Node::cancel(sim::EventId id) { network_.scheduler_for(id_).cancel(id); }
+sim::Scheduler& Node::home_scheduler() { return network_.scheduler_for(id_); }
 
 void Node::enqueue(NodeId dst, FrameType type, Bytes payload, std::uint16_t flood) {
   if (!alive_) return;  // dead radio: nothing leaves the node

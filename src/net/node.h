@@ -87,8 +87,26 @@ class Node {
 
   // Radio / timer facade (implemented in node.cc against Network).
   [[nodiscard]] sim::SimTime now() const;
-  sim::EventId schedule(sim::SimTime delay, sim::EventFn fn);
-  void cancel(sim::EventId id);
+  /// Application timer: `fn` runs `delay` from now on the node's
+  /// home-shard scheduler, owner-tagged and never a border event
+  /// (handlers touch only the node's own state and send through its
+  /// own MAC). The liveness gate is applied at fire time, not at
+  /// schedule time: a node that crashes loses its pending timers (its
+  /// program state is gone), and a node that was down when the timer
+  /// was set may be back up when it fires. A timer also dies with the
+  /// App that set it: once attach_app has replaced that App, the
+  /// closure may point into freed memory. The gate holds `fn` itself,
+  /// not an EventFn, so with a closure of up to 32 B it stays inside
+  /// EventFn's inline buffer and the timer allocates nothing.
+  template <typename F>
+  sim::EventId schedule(sim::SimTime delay, F&& fn) {
+    return home_scheduler().after(
+        delay,
+        [this, generation = app_generation_, fn = std::forward<F>(fn)]() mutable {
+          if (alive_ && generation == app_generation_) fn();
+        },
+        id_);
+  }
   void send(NodeId dst, FrameType type, Bytes payload) {
     enqueue(dst, type, std::move(payload), 0);
   }
@@ -138,6 +156,7 @@ class Node {
   std::uint64_t overheard_ = ~std::uint64_t{0};
   std::unique_ptr<App> app_;
 
+  [[nodiscard]] sim::Scheduler& home_scheduler();
   void enqueue(NodeId dst, FrameType type, Bytes payload, std::uint16_t flood);
 };
 

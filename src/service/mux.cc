@@ -29,20 +29,25 @@ double finish_aggregate(AggregateKind kind, const proto::Aggregate& a) {
   return 0.0;
 }
 
+core::IcpdaApp* QueryMux::instance_for(std::uint32_t query_id) {
+  for (const Entry& e : live_) {
+    if (e.query_id == query_id) return &e.instance->app;
+  }
+  return nullptr;
+}
+
 core::IcpdaApp& QueryMux::instance(net::Node& node, ActiveQuery& query) {
   const std::uint32_t qid = query.config.query_id;
-  if (qid >= instances_.size()) instances_.resize(qid + 1);
-  Instance& inst = instances_[qid];
-  if (!inst.app) {
-    inst.rng = std::make_unique<sim::Rng>(
-        query_rng_seed(state_->seed, node.id(), qid));
-    inst.app = std::make_unique<core::IcpdaApp>(
-        query.config, state_->readings, state_->keys, &state_->no_attack,
-        &query.outcome, /*adversary=*/nullptr, /*adv=*/nullptr, inst.rng.get());
-    ++instance_count_;
-    node.metrics().add("service.instance_created");
-  }
-  return *inst.app;
+  if (core::IcpdaApp* app = instance_for(qid)) return *app;
+  std::erase_if(live_, [this](const Entry& e) {
+    const ActiveQuery* q = state_->find(e.query_id);
+    return (q == nullptr || !q->active) && e.instance->app.timers_pending() == 0;
+  });
+  live_.push_back({qid, std::make_unique<Instance>(
+                            *state_, query, query_rng_seed(state_->seed, node.id(), qid))});
+  ++instance_count_;
+  node.metrics().add("service.instance_created");
+  return live_.back().instance->app;
 }
 
 core::IcpdaApp* QueryMux::route(net::Node& node, const net::Frame& frame) {

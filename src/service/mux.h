@@ -14,11 +14,17 @@
 // flood this node already holds (Channel::hold_flood) never reaches
 // it, so `service.frame_retired_query` does not count those copies.
 //
-// Lifetime: protocol code schedules timers capturing raw `this`, so a
-// per-query instance is NEVER destroyed while the simulation can still
-// fire events — retired queries merely stop receiving frames (their
-// stray timers fire into silence) and the instances are reclaimed when
-// the dispatcher goes away after the run.
+// Lifetime: protocol code schedules timers capturing raw `this`, so an
+// instance lives while its query is active or any timer it set is still
+// pending (core::IcpdaApp::timers_pending). A retired query's instance
+// receives no frames, but its stray timers still fire, and may send.
+// Each time the mux creates an instance it first frees every
+// instance whose query has retired and whose timers have all fired, so
+// a node holds the in-flight queries' instances plus the few retired
+// ones still waiting on a timer — however many queries it has served.
+// The reclaim lives here, not in the Dispatcher, because node.app() need
+// not be the mux itself (a wrapper may own it). A timer that never fires
+// (its node was down at fire time) pins its instance until the mux goes.
 #pragma once
 
 #include <cstdint>
@@ -86,16 +92,27 @@ class QueryMux final : public net::App {
   /// epoch (the flood is scheduled start_delay_s from now).
   void launch(net::Node& node, ActiveQuery& query);
 
-  /// Instances created on this node so far (introspection for tests).
+  /// Instances created on this node so far, reclaimed ones included.
   [[nodiscard]] std::size_t instance_count() const { return instance_count_; }
-  [[nodiscard]] core::IcpdaApp* instance_for(std::uint32_t query_id) {
-    return query_id < instances_.size() ? instances_[query_id].app.get() : nullptr;
-  }
+  /// Instances this node holds now (not yet reclaimed).
+  [[nodiscard]] std::size_t live_instances() const { return live_.size(); }
+  /// The query's instance on this node; nullptr if never created or
+  /// already reclaimed.
+  [[nodiscard]] core::IcpdaApp* instance_for(std::uint32_t query_id);
 
  private:
+  /// One query's protocol instance on this node, allocated as one cell.
   struct Instance {
-    std::unique_ptr<sim::Rng> rng;  ///< outlives the app (app holds a ptr)
-    std::unique_ptr<core::IcpdaApp> app;
+    Instance(const ServiceState& state, ActiveQuery& query, std::uint64_t seed)
+        : rng(seed),
+          app(query.config, state.readings, state.keys, &state.no_attack,
+              &query.outcome, /*adversary=*/nullptr, /*adv=*/nullptr, &rng) {}
+    sim::Rng rng;  ///< declared first: the app draws through a pointer to it
+    core::IcpdaApp app;
+  };
+  struct Entry {
+    std::uint32_t query_id;
+    std::unique_ptr<Instance> instance;
   };
 
   /// Get-or-create the per-query protocol instance on this node.
@@ -104,10 +121,10 @@ class QueryMux final : public net::App {
   core::IcpdaApp* route(net::Node& node, const net::Frame& frame);
 
   ServiceState* state_;
-  /// Indexed by query id (the Dispatcher numbers queries densely from
-  /// 1); an empty slot has no app. Only ids route() has found in the
-  /// service state ever size it, never an id peeked off the wire.
-  std::vector<Instance> instances_;
+  /// The instances not yet reclaimed, in creation order. Only queries
+  /// route() has found active in the service state ever get an entry,
+  /// never an id peeked off the wire.
+  std::vector<Entry> live_;
   std::size_t instance_count_ = 0;
 };
 

@@ -29,9 +29,11 @@ enum class EventId : std::uint64_t {};
 /// 16-byte inline budget sent nearly every closure through the heap.
 /// The 48-byte buffer holds all of the kernel's hot closures — channel
 /// delivery (this + shared Frame + ids), the MAC's tx-done/backoff/ACK
-/// continuations (this + at most a 40-byte Frame) — so steady-state
-/// event traffic allocates nothing. Oversized captures fall back to a
-/// single heap cell; behaviour is identical either way.
+/// continuations (this + at most a 40-byte Frame) — so the kernel's
+/// steady-state event traffic allocates nothing. An application timer
+/// (net::Node::schedule) fits when its own closure is at most 32 B,
+/// beside the node's gate. Oversized captures fall back to a single
+/// heap cell; behaviour is identical either way.
 class EventFn {
  public:
   /// Inline capture budget. Raising it grows every scheduler slot;

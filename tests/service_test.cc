@@ -14,7 +14,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "crypto/keyring.h"
@@ -309,6 +312,234 @@ TEST(ServiceTest, MuxDropsUnknownAndRetiredQueries) {
   mux.on_receive(node, junk);
   EXPECT_EQ(network.metrics().counter("service.frame_unreadable"), 1u);
   EXPECT_EQ(mux.instance_count(), 1u);
+}
+
+/// A query `id` registered active in `state`, and the base station's
+/// hop-0 query flood for it: delivered to a sensor, it builds the
+/// query's instance there and joins it to the tree, which arms its
+/// Phase III report timer.
+net::Frame activate(service::ServiceState& state, std::uint32_t id) {
+  auto& q = state.queries[id];
+  q.config.query_id = id;
+  q.active = true;
+  proto::HelloMsg hello;
+  hello.query_id = id;
+  net::Frame frame;
+  frame.src = 0;
+  frame.type = proto::kHello;
+  frame.payload = hello.to_bytes();
+  return frame;
+}
+
+TEST(ServiceTest, RetiredInstanceOutlivesItsPendingTimers) {
+  const auto keys = master_keys();
+  net::Network network(dense_network(3));
+
+  service::ServiceState state;
+  state.readings = integer_reading;
+  state.keys = &keys;
+  state.seed = 7;
+  service::QueryMux mux(&state);
+  auto& node = network.node(1);
+
+  mux.on_receive(node, activate(state, 1));
+  const core::IcpdaApp* a = mux.instance_for(1);
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->joined_tree());
+  ASSERT_GT(a->timers_pending(), 0u);
+
+  // A retires with timers queued: creating B's instance must keep it,
+  // or those timers would fire into freed memory.
+  state.queries[1].active = false;
+  mux.on_receive(node, activate(state, 2));
+  ASSERT_EQ(mux.instance_for(1), a);
+  EXPECT_EQ(mux.live_instances(), 2u);
+
+  // Past A's last timer it is reclaimable, and the next creation frees
+  // it. B is still active, so it stays whatever its timers.
+  network.scheduler().run();
+  EXPECT_EQ(a->timers_pending(), 0u);
+  EXPECT_EQ(mux.instance_for(1), a);
+  mux.on_receive(node, activate(state, 3));
+  EXPECT_EQ(mux.instance_for(1), nullptr);
+  EXPECT_NE(mux.instance_for(2), nullptr);
+  EXPECT_NE(mux.instance_for(3), nullptr);
+  EXPECT_EQ(mux.live_instances(), 2u);
+  EXPECT_EQ(mux.instance_count(), 3u);
+}
+
+/// Owns a sensor's mux and forwards every upcall to it, as a tracing
+/// wrapper does; `after` (if set) runs after each upcall.
+class WrappedMux final : public net::App {
+ public:
+  using Hook = std::function<void(net::Node&, service::QueryMux&)>;
+  WrappedMux(std::unique_ptr<service::QueryMux> mux, Hook after)
+      : mux_(std::move(mux)), after_(std::move(after)) {}
+
+  void start(net::Node& node) override {
+    mux_->start(node);
+    done(node);
+  }
+  void on_receive(net::Node& node, const net::Frame& frame) override {
+    mux_->on_receive(node, frame);
+    done(node);
+  }
+  void on_overhear(net::Node& node, const net::Frame& frame) override {
+    mux_->on_overhear(node, frame);
+    done(node);
+  }
+  void on_send_failed(net::Node& node, const net::Frame& frame) override {
+    mux_->on_send_failed(node, frame);
+    done(node);
+  }
+
+ private:
+  void done(net::Node& node) {
+    if (after_) after_(node, *mux_);
+  }
+  std::unique_ptr<service::QueryMux> mux_;
+  Hook after_;
+};
+
+/// Re-attach every sensor's app at t = 0, before any query arrives:
+/// a fresh mux, inside a WrappedMux running `after` when `wrap` is
+/// set. Fresh muxes go to `muxes` if given. The Dispatcher addresses
+/// the base station's mux directly, so that one stays as attached. The
+/// bare and wrapped variants schedule the same one event, so their
+/// runs compare event for event.
+void rewrap_sensors(net::Network& network, service::Dispatcher& dispatcher,
+                    const WrappedMux::Hook& after, bool wrap,
+                    std::vector<service::QueryMux*>* muxes = nullptr) {
+  network.scheduler().at(sim::SimTime::zero(), [&network, &dispatcher, after, wrap, muxes] {
+    for (net::NodeId id = 1; id < network.size(); ++id) {
+      auto mux = std::make_unique<service::QueryMux>(&dispatcher.state());
+      if (muxes != nullptr) muxes->push_back(mux.get());
+      if (wrap) {
+        network.node(id).attach_app(std::make_unique<WrappedMux>(std::move(mux), after));
+      } else {
+        network.node(id).attach_app(std::move(mux));
+      }
+    }
+  });
+}
+
+struct InstancePeaks {
+  std::size_t live = 0;     ///< most instances any sensor held
+  std::size_t created = 0;  ///< fewest instances any sensor created
+};
+
+/// A service run at 4 slots whose sensors check, right after every
+/// instance creation, that they hold at most `max_in_flight` instances
+/// beyond the retired ones still waiting on a timer.
+InstancePeaks run_counting_instances(std::uint32_t query_count) {
+  const auto keys = master_keys();
+  net::Network network(dense_network(19));
+  service::ServiceConfig cfg;
+  cfg.offered_load_qps = 0.3;
+  cfg.query_count = query_count;
+  cfg.max_in_flight = 4;
+  cfg.deadline_s = 60.0;
+  cfg.seed = 0xB0B;
+  service::Dispatcher dispatcher(network, cfg, &keys, integer_reading);
+
+  InstancePeaks peaks;
+  std::vector<std::size_t> seen(network.size(), 0);
+  const auto check = [&](net::Node& node, service::QueryMux& mux) {
+    if (mux.instance_count() == seen[node.id()]) return;
+    seen[node.id()] = mux.instance_count();
+    std::size_t waiting = 0;
+    for (std::uint32_t q = 1; q <= query_count; ++q) {
+      const core::IcpdaApp* app = mux.instance_for(q);
+      const service::ActiveQuery* query = dispatcher.state().find(q);
+      if (app != nullptr && !query->active && app->timers_pending() > 0) ++waiting;
+    }
+    EXPECT_LE(mux.live_instances(), cfg.max_in_flight + waiting)
+        << "node " << node.id() << " after instance " << mux.instance_count();
+    peaks.live = std::max(peaks.live, mux.live_instances());
+  };
+  std::vector<service::QueryMux*> muxes;
+  rewrap_sensors(network, dispatcher, check, /*wrap=*/true, &muxes);
+  dispatcher.run();
+  EXPECT_EQ(dispatcher.completed(), query_count);
+  peaks.created = query_count;
+  for (const service::QueryMux* mux : muxes) {
+    peaks.created = std::min(peaks.created, mux->instance_count());
+  }
+  return peaks;
+}
+
+TEST(ServiceTest, LiveInstancesStayBoundedAsQueriesGrow) {
+  const InstancePeaks few = run_counting_instances(8);
+  const InstancePeaks many = run_counting_instances(64);
+  // Every sensor served every query...
+  EXPECT_EQ(few.created, 8u);
+  EXPECT_EQ(many.created, 64u);
+  // ...while holding no more instances at 64 queries than at 8.
+  EXPECT_GT(few.live, 0u);
+  EXPECT_LE(many.live, few.live);
+}
+
+std::vector<std::string> record_summaries(const service::Dispatcher& d) {
+  std::vector<std::string> out;
+  for (const service::CompletionRecord& r : d.records()) {
+    const core::IcpdaOutcome& o = r.outcome;
+    std::string s = std::to_string(r.id) + " " + service::query_status_name(r.status);
+    for (const double v : {r.launched.seconds(), r.closed.seconds(), r.latency_s, r.settle_s,
+                           r.value, r.abs_error, r.coverage, o.last_report_at.seconds()}) {
+      s += " " + std::to_string(v);
+    }
+    if (o.result) {
+      s += " " + std::to_string(o.result->count) + "/" + std::to_string(o.result->sum) + "/" +
+           std::to_string(o.result->sum_sq);
+    }
+    for (const std::uint64_t v :
+         {std::uint64_t{r.accepted}, std::uint64_t{o.alarms.size()},
+          std::uint64_t{o.drop_suspicions}, std::uint64_t{o.heads}, std::uint64_t{o.members},
+          std::uint64_t{o.unclustered}, std::uint64_t{o.reporters},
+          std::uint64_t{o.clusters_failed}, std::uint64_t{o.reroutes}}) {
+      s += " " + std::to_string(v);
+    }
+    out.push_back(s);
+  }
+  return out;
+}
+
+TEST(ServiceTest, WrappedMuxesReproduceTheRunExactly) {
+  // Default pc: clusters, shares and watchdogs, so instances retire
+  // with timers still queued. The reclaim must not depend on whether
+  // node.app() is the mux itself.
+  const auto keys = master_keys();
+  service::ServiceConfig cfg;
+  cfg.offered_load_qps = 0.5;
+  cfg.query_count = 12;
+  cfg.max_in_flight = 4;
+  cfg.deadline_s = 30.0;
+  cfg.seed = 0x3A9;
+
+  net::Network bare_net(dense_network(29));
+  service::Dispatcher bare(bare_net, cfg, &keys, integer_reading);
+  rewrap_sensors(bare_net, bare, {}, /*wrap=*/false);
+  bare.run();
+
+  net::Network wrapped_net(dense_network(29));
+  service::Dispatcher wrapped(wrapped_net, cfg, &keys, integer_reading);
+  std::vector<service::QueryMux*> muxes;
+  rewrap_sensors(wrapped_net, wrapped, {}, /*wrap=*/true, &muxes);
+  wrapped.run();
+
+  EXPECT_EQ(bare.completed(), cfg.query_count);
+  EXPECT_EQ(record_summaries(bare), record_summaries(wrapped));
+  EXPECT_EQ(bare_net.executed_events(), wrapped_net.executed_events());
+  EXPECT_EQ(bare_net.metrics().counters(), wrapped_net.metrics().counters());
+
+  // The wrapped muxes did reclaim.
+  std::size_t created = 0, live = 0;
+  for (const service::QueryMux* mux : muxes) {
+    created += mux->instance_count();
+    live += mux->live_instances();
+  }
+  EXPECT_EQ(created, cfg.query_count * muxes.size());
+  EXPECT_LT(live, created);
 }
 
 TEST(ServiceTest, QuerySpansAndLifecycleCountersAppearInTrace) {
