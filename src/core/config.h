@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "net/topology.h"
-#include "net/wire.h"
+#include "net/packet.h"
 #include "proto/epoch.h"
 
 namespace icpda::core {

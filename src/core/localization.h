@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "net/topology.h"
-#include "net/wire.h"
+#include "net/packet.h"
 
 namespace icpda::core {
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "net/node.h"
-#include "net/wire.h"
 
 namespace icpda::net {
 
@@ -181,14 +180,14 @@ void Mac::finish_current(bool success) {
 }
 
 void Mac::send_ack(const Frame& data_frame) {
-  WireWriter w;
-  w.u32(data_frame.seq);
   Frame ack;
   ack.src = self_;
   ack.dst = data_frame.src;
   ack.seq = 0;  // ACKs are identified by the payload's echoed sequence.
   ack.type = kMacAck;
-  ack.payload = std::move(w).take();
+  const std::uint32_t seq = data_frame.seq;  // echoed as a little-endian u32
+  ack.payload = {static_cast<std::uint8_t>(seq), static_cast<std::uint8_t>(seq >> 8),
+                 static_cast<std::uint8_t>(seq >> 16), static_cast<std::uint8_t>(seq >> 24)};
   // ACKs bypass contention: fire after a short inter-frame space, like
   // 802.11/802.15.4. They can still collide — that is physics. The SIFS
   // is shorter than the engine lookahead, which is exactly why a border
@@ -208,15 +207,17 @@ void Mac::handle_reception(const Frame& frame, std::uint32_t& last_seen) {
 
   if (frame.type == kMacAck) {
     if (state_ != State::kAwaitingAck || queue_.empty()) return;
-    try {
-      WireReader r(frame.payload);
-      const std::uint32_t acked_seq = r.u32();
-      if (acked_seq == queue_.front().seq && frame.src == queue_.front().dst) {
-        ack_received_.add(metrics_);
-        finish_current(true);
-      }
-    } catch (const WireError&) {
+    if (frame.payload.size() < 4) {
       metrics_.add("mac.malformed_ack");
+      return;
+    }
+    std::uint32_t acked_seq = 0;
+    for (int i = 0; i < 4; ++i) {
+      acked_seq |= static_cast<std::uint32_t>(frame.payload[i]) << (8 * i);
+    }
+    if (acked_seq == queue_.front().seq && frame.src == queue_.front().dst) {
+      ack_received_.add(metrics_);
+      finish_current(true);
     }
     return;
   }

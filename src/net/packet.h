@@ -8,11 +8,16 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "net/topology.h"
-#include "net/wire.h"
 
 namespace icpda::net {
+
+/// A frame payload: opaque bytes to the link layer. Protocol payloads
+/// are encoded by proto/codec.h; the MAC's own ACK carries the acked
+/// sequence number as a little-endian u32.
+using Bytes = std::vector<std::uint8_t>;
 
 /// Link-layer broadcast address.
 inline constexpr NodeId kBroadcast = 0xFFFFFFFE;

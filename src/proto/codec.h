@@ -24,7 +24,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "net/wire.h"
+#include "net/packet.h"
 
 namespace icpda::proto {
 

@@ -46,7 +46,7 @@ bool take_value_flag(int argc, char** argv, int& i, const char* flag,
   return false;
 }
 
-/// --threads / ICPDA_THREADS: 0 means all hardware threads; a value
+/// --threads: 0 means all hardware threads; a value
 /// that does not fit `unsigned` is refused rather than wrapped.
 bool parse_threads(const std::string& s, unsigned& out) {
   unsigned long long t = 0;
@@ -55,7 +55,7 @@ bool parse_threads(const std::string& s, unsigned& out) {
   return true;
 }
 
-/// --shards / ICPDA_SHARDS: 1..sim::kMaxShards (each shard is a
+/// --shards: 1..sim::kMaxShards (each shard is a
 /// thread, so a huge count is refused before anything starts).
 bool parse_shards(const std::string& s, unsigned long long& out) {
   return parse_uint(s, out) && out >= 1 && out <= sim::kMaxShards;
@@ -101,24 +101,6 @@ bool parse_point_spec(const std::string& spec, std::vector<PointRange>& out) {
 }
 
 bool parse_cli(int argc, char** argv, RunnerOptions& options, std::string& error) {
-  // Reject garbage in the environment loudly: a typo'd count silently
-  // replaced by a default would invalidate every number downstream.
-  if (const char* env = std::getenv("ICPDA_THREADS")) {
-    if (!parse_threads(env, options.threads)) {
-      error = std::string("ICPDA_THREADS: expected a non-negative integer below 2^32, got '") +
-              env + "'";
-      return false;
-    }
-  }
-  if (const char* env = std::getenv("ICPDA_SHARDS")) {
-    unsigned long long s = 0;
-    if (!parse_shards(env, s)) {
-      error = std::string("ICPDA_SHARDS: expected an integer in 1..") +
-              std::to_string(sim::kMaxShards) + ", got '" + env + "'";
-      return false;
-    }
-    options.shards = static_cast<std::size_t>(s);
-  }
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -187,10 +169,10 @@ void print_usage(const char* argv0) {
                "usage: %s [--threads=N] [--shards=N] [--trials=N] [--points=SPEC]\n"
                "          [--out=PATH] [--trace] [--no-progress] [--help]\n"
                "  --threads=N    worker threads (0 = all hardware threads;\n"
-               "                 default $ICPDA_THREADS or 1). Rows are\n"
+               "                 default 1). Rows are\n"
                "                 byte-identical at every thread count.\n"
                "  --shards=N     spatial shards per simulated network, 1..%zu\n"
-               "                 (default $ICPDA_SHARDS or 1). Rows are\n"
+               "                 (default 1). Rows are\n"
                "                 byte-identical at every shard count.\n"
                "  --trials=N     Monte-Carlo trials per grid point\n"
                "                 (default: campaign declaration / $ICPDA_TRIALS)\n"

@@ -1,11 +1,11 @@
 // Shared command-line layer for the bench binaries.
 //
 //   --threads=N   worker threads (0 = all hardware threads); default
-//                 from ICPDA_THREADS, else 1 so plain invocations stay
-//                 sequential and comparable. Row output is identical
+//                 1 so plain invocations stay sequential and
+//                 comparable. Row output is identical
 //                 at every thread count (see campaign.h).
 //   --shards=N    spatial shards per simulated Network, at most
-//                 sim::kMaxShards (default from ICPDA_SHARDS, else 1).
+//                 sim::kMaxShards (default 1).
 //                 Row output is identical at every shard count (see
 //                 net/shard_engine.h).
 //   --trials=N    Monte-Carlo trials per grid point; default from the
@@ -40,7 +40,7 @@ struct PointRange {
 struct RunnerOptions {
   unsigned threads = 1;
   /// Spatial shards per simulated Network (see net/shard_engine.h);
-  /// default from ICPDA_SHARDS, else 1. Reaches cells as
+  /// default 1. Reaches cells as
   /// CellContext::shards. Rows are byte-identical at every shard count
   /// — that is what tests/shard_determinism_test.cc pins.
   std::size_t shards = 1;
@@ -52,8 +52,8 @@ struct RunnerOptions {
   bool help = false;
 };
 
-/// Parse argv (and ICPDA_THREADS / ICPDA_SHARDS) into `options`.
-/// Returns false and fills `error` on a malformed flag or variable,
+/// Parse argv into `options`.
+/// Returns false and fills `error` on a malformed flag,
 /// including a count too large for its field (no silent wrap);
 /// `options.help` is set (and true returned) for --help. Unknown flags
 /// are errors — a typo'd axis restriction must not silently run the

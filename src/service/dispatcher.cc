@@ -20,6 +20,7 @@ Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
     throw std::invalid_argument(
         "service::Dispatcher requires an unsharded Network (shards == 1)");
   }
+  state_.protocol = config_.protocol;
   state_.readings = std::move(readings);
   state_.keys = keys;
   state_.seed = config_.seed;
@@ -33,78 +34,71 @@ Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
   }
 }
 
-bool Dispatcher::misses_deadline(const QueryDescriptor& q) const {
+bool Dispatcher::misses_deadline(const CompletionRecord& rec) const {
   const double finish_at = net_.scheduler().now().seconds() + nominal_s_;
-  return finish_at > q.arrival.seconds() + config_.deadline_s;
+  return finish_at > rec.arrival.seconds() + config_.deadline_s;
 }
 
 std::uint32_t Dispatcher::count(QueryStatus s) const {
   std::uint32_t n = 0;
-  for (const auto& r : records_) {
+  for (const auto& r : state_.records) {
     if (r.status == s) ++n;
   }
   return n;
 }
 
-void Dispatcher::arrive(const QueryDescriptor& q) {
+void Dispatcher::arrive(CompletionRecord& rec) {
   net_.metrics().add("service.arrival");
   if (in_flight_ < config_.max_in_flight) {
-    if (misses_deadline(q)) {
-      drop(q, QueryStatus::kDroppedDeadline);
+    if (misses_deadline(rec)) {
+      drop(rec, QueryStatus::kDroppedDeadline);
     } else {
-      launch(q);
+      launch(rec);
     }
     return;
   }
   if (waiting_.size() < config_.max_queue) {
-    waiting_.push_back(q);
+    waiting_.push_back(rec.id);
     net_.metrics().add("service.queued");
     return;
   }
-  drop(q, QueryStatus::kRejectedQueue);
+  drop(rec, QueryStatus::kRejectedQueue);
 }
 
-void Dispatcher::launch(const QueryDescriptor& q) {
-  auto [it, inserted] = state_.queries.try_emplace(q.id);
-  ActiveQuery& query = it->second;
-  query.config = config_.protocol;
-  query.config.query_id = q.id;
-  query.active = true;
+void Dispatcher::launch(CompletionRecord& rec) {
+  rec.status = QueryStatus::kRunning;  // opens the mux's routing gate
   ++in_flight_;
 
   const sim::SimTime now = net_.scheduler().now();
-  records_[q.id - 1].launched = now;  // the rest is filled in by complete()
+  rec.launched = now;  // the rest is filled in by complete()
 
   net_.metrics().add("service.launched");
   net_.metrics().observe("service.queue_wait_s",
-                         (now - q.arrival).seconds());
+                         (now - rec.arrival).seconds());
   net_.tracer().counter(sim::kTraceGlobalNode, sim::TraceCounter::kQueryLaunch,
-                        q.id, now);
+                        rec.id, now);
 
   auto& bs = net_.node(net_.base_station());
-  static_cast<QueryMux*>(bs.app())->launch(bs, query);
+  static_cast<QueryMux*>(bs.app())->launch(bs, rec.id);
   net_.scheduler().after(sim::seconds(nominal_s_ + core::kEpochDrainGraceS),
-                         [this, qid = q.id] { complete(qid); });
+                         [this, id = rec.id] { complete(state_.records[id - 1]); });
 }
 
-void Dispatcher::drop(const QueryDescriptor& q, QueryStatus status) {
-  records_[q.id - 1].status = status;
+void Dispatcher::drop(CompletionRecord& rec, QueryStatus status) {
+  rec.status = status;
   net_.metrics().add(status == QueryStatus::kRejectedQueue
                          ? "service.rejected_queue"
                          : "service.dropped_deadline");
   net_.tracer().counter(sim::kTraceGlobalNode, sim::TraceCounter::kQueryDrop,
-                        q.id, net_.scheduler().now());
+                        rec.id, net_.scheduler().now());
 }
 
-void Dispatcher::complete(std::uint32_t query_id) {
-  ActiveQuery* query = state_.find(query_id);
-  if (query == nullptr || !query->active) return;
-  query->active = false;
+void Dispatcher::complete(CompletionRecord& rec) {
+  rec.status = QueryStatus::kCompleted;  // closes the routing gate
   --in_flight_;
 
-  CompletionRecord& rec = records_[query_id - 1];
-  const core::IcpdaOutcome& out = query->outcome;
-  rec.status = QueryStatus::kCompleted;
+  // Read in place: every instance of the query wrote into rec.outcome.
+  const core::IcpdaOutcome& out = rec.outcome;
   rec.closed = out.closed_at;
   rec.latency_s = (out.closed_at - rec.arrival).seconds();
   rec.settle_s = out.last_report_at > rec.launched
@@ -117,22 +111,21 @@ void Dispatcher::complete(std::uint32_t query_id) {
                      ? result.count / static_cast<double>(allowed_sensors_)
                      : 0.0;
   rec.accepted = out.accepted();
-  rec.outcome = out;
   net_.metrics().add("service.completed");
   net_.tracer().counter(sim::kTraceGlobalNode, sim::TraceCounter::kQueryComplete,
-                        query_id, net_.scheduler().now());
+                        rec.id, net_.scheduler().now());
   pump();
 }
 
 void Dispatcher::pump() {
   while (in_flight_ < config_.max_in_flight && !waiting_.empty()) {
-    const QueryDescriptor q = waiting_.front();
+    CompletionRecord& rec = state_.records[waiting_.front() - 1];
     waiting_.pop_front();
-    if (misses_deadline(q)) {
-      drop(q, QueryStatus::kDroppedDeadline);
+    if (misses_deadline(rec)) {
+      drop(rec, QueryStatus::kDroppedDeadline);
       continue;
     }
-    launch(q);
+    launch(rec);
   }
 }
 
@@ -145,31 +138,28 @@ sim::SimTime Dispatcher::run() {
 
   // Poisson-by-seed arrival schedule, generated up front: the whole
   // offered-traffic process is a pure function of (seed, load, count).
-  // Ids are dense, so query q's record is records_[q.id - 1], made here
-  // and resolved in place by launch/drop/complete.
+  // Ids are dense, so query q's record is state_.records[q - 1], made
+  // here, never resized after, and resolved in place by
+  // launch/drop/complete.
   sim::Rng arrivals(sim::seed_mix(config_.seed, 0xA221BA15, config_.query_count));
-  records_.reserve(config_.query_count);
+  state_.records.reserve(config_.query_count);
   double t = 0.0;
   for (std::uint32_t i = 0; i < config_.query_count; ++i) {
     t += arrivals.exponential(std::max(config_.offered_load_qps, 1e-9));
-    QueryDescriptor q;
-    q.id = i + 1;  // 0 is reserved (peek_query_id's "unreadable")
-    q.kind = config_.kind_cycle.empty()
-                 ? AggregateKind::kSum
-                 : config_.kind_cycle[i % config_.kind_cycle.size()];
-    q.arrival = sim::seconds(t);
-    CompletionRecord& rec = records_.emplace_back();
-    rec.id = q.id;
-    rec.kind = q.kind;
-    rec.arrival = q.arrival;
-    net_.scheduler().at(q.arrival, [this, q] { arrive(q); });
+    CompletionRecord& rec = state_.records.emplace_back();
+    rec.id = i + 1;  // 0 is reserved (peek_query_id's "unreadable")
+    rec.kind = config_.kind_cycle.empty()
+                   ? AggregateKind::kSum
+                   : config_.kind_cycle[i % config_.kind_cycle.size()];
+    rec.arrival = sim::seconds(t);
+    net_.scheduler().at(rec.arrival, [this, id = rec.id] { arrive(state_.records[id - 1]); });
   }
 
   // Worst-case horizon: even fully serialized (one slot), every query
   // either finishes or is dropped by then. A hard bound keeps any
   // congestion pathology from running the simulation forever.
   double bound = 0.0;
-  for (const auto& r : records_) {
+  for (const auto& r : state_.records) {
     bound = std::max(bound, r.arrival.seconds()) + nominal_s_ + core::kEpochDrainGraceS;
   }
   net_.run(sim::seconds(bound + 5.0));

@@ -2,12 +2,14 @@
 // pipelined epochs, per-query completion records.
 //
 // The Dispatcher owns one service run over one Network. It draws a
-// Poisson-by-seed arrival schedule of query descriptors, admits them
-// against a max-in-flight cap with a deadline-based drop policy, opens
-// each admitted query's epoch at the base station (per-query QueryId,
-// routed by the QueryMux on every node) and writes one
-// CompletionRecord per query. Epochs overlap freely: the per-node
-// protocol state is per-query (the mux's instance map), per-query
+// Poisson-by-seed arrival schedule, one CompletionRecord per query,
+// admits the queries against a max-in-flight cap with a deadline-based
+// drop policy, and opens each admitted query's epoch at the base
+// station (per-query QueryId, routed by the QueryMux on every node).
+// The record is the query's only state: arrival events and the waiting
+// queue carry its id, and every node's instance of the query writes
+// into its outcome. Epochs overlap freely: the per-node protocol state
+// is per-query (one mux instance per node and query), per-query
 // randomness is derived from (seed, node, query) alone, and the epoch
 // clock is fixed by configuration — so a run is a deterministic
 // function of (network config, service config), byte-stable across
@@ -72,34 +74,33 @@ class Dispatcher {
   sim::SimTime run();
 
   /// One record per generated query, in id order: query q's is
-  /// records()[q.id - 1].
+  /// records()[q - 1]. Empty until run() draws the arrival schedule.
   [[nodiscard]] const std::vector<CompletionRecord>& records() const {
-    return records_;
+    return state_.records;
   }
 
   [[nodiscard]] std::uint32_t completed() const { return count(QueryStatus::kCompleted); }
   [[nodiscard]] std::uint32_t dropped() const { return count(QueryStatus::kDroppedDeadline); }
   [[nodiscard]] std::uint32_t rejected() const { return count(QueryStatus::kRejectedQueue); }
 
-  /// Shared mux state (introspection for tests).
+  /// Shared mux state; a caller may attach its own muxes over it.
   [[nodiscard]] ServiceState& state() { return state_; }
 
  private:
-  void arrive(const QueryDescriptor& q);
-  void launch(const QueryDescriptor& q);
-  void drop(const QueryDescriptor& q, QueryStatus status);
-  void complete(std::uint32_t query_id);
+  void arrive(CompletionRecord& rec);
+  void launch(CompletionRecord& rec);
+  void drop(CompletionRecord& rec, QueryStatus status);
+  void complete(CompletionRecord& rec);
   /// Launch from the waiting queue while slots are free, dropping
   /// entries whose deadline can no longer be met.
   void pump();
-  [[nodiscard]] bool misses_deadline(const QueryDescriptor& q) const;
+  [[nodiscard]] bool misses_deadline(const CompletionRecord& rec) const;
   [[nodiscard]] std::uint32_t count(QueryStatus s) const;
 
   net::Network& net_;
   ServiceConfig config_;
   ServiceState state_;
-  std::deque<QueryDescriptor> waiting_;
-  std::vector<CompletionRecord> records_;
+  std::deque<std::uint32_t> waiting_;  ///< ids of admitted, unlaunched queries
   std::uint32_t in_flight_ = 0;
   bool ran_ = false;
   double nominal_s_ = 0.0;        ///< exact epoch length (nominal_epoch_s)

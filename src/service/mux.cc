@@ -2,6 +2,15 @@
 
 namespace icpda::service {
 
+namespace {
+
+core::IcpdaConfig with_query_id(core::IcpdaConfig config, std::uint32_t query_id) {
+  config.query_id = query_id;
+  return config;
+}
+
+}  // namespace
+
 const char* aggregate_kind_name(AggregateKind k) {
   switch (k) {
     case AggregateKind::kSum: return "sum";
@@ -16,6 +25,8 @@ const char* query_status_name(QueryStatus s) {
     case QueryStatus::kCompleted: return "completed";
     case QueryStatus::kDroppedDeadline: return "dropped_deadline";
     case QueryStatus::kRejectedQueue: return "rejected_queue";
+    case QueryStatus::kPending: return "pending";
+    case QueryStatus::kRunning: return "running";
   }
   return "invalid";
 }
@@ -36,15 +47,21 @@ core::IcpdaApp* QueryMux::instance_for(std::uint32_t query_id) {
   return nullptr;
 }
 
-core::IcpdaApp& QueryMux::instance(net::Node& node, ActiveQuery& query) {
-  const std::uint32_t qid = query.config.query_id;
-  if (core::IcpdaApp* app = instance_for(qid)) return *app;
+QueryMux::Instance::Instance(ServiceState& state, std::uint32_t query_id, std::uint64_t seed)
+    : rng(seed),
+      app(with_query_id(state.protocol, query_id), state.readings, state.keys,
+          &state.no_attack, &state.records[query_id - 1].outcome, /*adversary=*/nullptr,
+          /*adv=*/nullptr, &rng) {}
+
+core::IcpdaApp& QueryMux::instance(net::Node& node, std::uint32_t query_id) {
+  if (core::IcpdaApp* app = instance_for(query_id)) return *app;
   std::erase_if(live_, [this](const Entry& e) {
-    const ActiveQuery* q = state_->find(e.query_id);
-    return (q == nullptr || !q->active) && e.instance->app.timers_pending() == 0;
+    return state_->records[e.query_id - 1].status != QueryStatus::kRunning &&
+           e.instance->app.timers_pending() == 0;
   });
-  live_.push_back({qid, std::make_unique<Instance>(
-                            *state_, query, query_rng_seed(state_->seed, node.id(), qid))});
+  live_.push_back({query_id, std::make_unique<Instance>(
+                                 *state_, query_id,
+                                 query_rng_seed(state_->seed, node.id(), query_id))});
   ++instance_count_;
   node.metrics().add("service.instance_created");
   return live_.back().instance->app;
@@ -56,16 +73,14 @@ core::IcpdaApp* QueryMux::route(net::Node& node, const net::Frame& frame) {
     node.metrics().add("service.frame_unreadable");
     return nullptr;
   }
-  ActiveQuery* query = state_->find(qid);
-  if (query == nullptr) {
-    node.metrics().add("service.frame_unknown_query");
-    return nullptr;
+  const CompletionRecord* record = state_->record(qid);
+  if (record != nullptr && record->status == QueryStatus::kRunning) {
+    return &instance(node, qid);
   }
-  if (!query->active) {
-    node.metrics().add("service.frame_retired_query");
-    return nullptr;
-  }
-  return &instance(node, *query);
+  node.metrics().add(record != nullptr && record->status == QueryStatus::kCompleted
+                         ? "service.frame_retired_query"
+                         : "service.frame_unknown_query");
+  return nullptr;
 }
 
 void QueryMux::on_receive(net::Node& node, const net::Frame& frame) {
@@ -80,8 +95,8 @@ void QueryMux::on_send_failed(net::Node& node, const net::Frame& frame) {
   if (auto* app = route(node, frame)) app->on_send_failed(node, frame);
 }
 
-void QueryMux::launch(net::Node& node, ActiveQuery& query) {
-  instance(node, query).start(node);
+void QueryMux::launch(net::Node& node, std::uint32_t query_id) {
+  instance(node, query_id).start(node);
 }
 
 }  // namespace icpda::service

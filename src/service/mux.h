@@ -7,17 +7,21 @@
 // the one net::App attached per node; it peeks the QueryId prefix
 // every payload carries (proto::peek_query_id, the wire invariant) and
 // dispatches the frame to that query's core::IcpdaApp instance,
-// created lazily on first contact. Frames naming unknown or retired
-// queries are dropped before any decoder runs. The IcpdaApp handlers'
+// created lazily on first contact. The routing gate is the query's own
+// record (ServiceState::records): only a running query's frames reach
+// an instance. An id out of range or naming a query never launched
+// counts as unknown, one whose query completed as retired; both are
+// dropped before any decoder runs. The IcpdaApp handlers'
 // own query_id filter stays in place beneath this as defense in depth.
 // The mux sees only what the channel delivers: a copy of an alarm
 // flood this node already holds (Channel::hold_flood) never reaches
 // it, so `service.frame_retired_query` does not count those copies.
 //
 // Lifetime: protocol code schedules timers capturing raw `this`, so an
-// instance lives while its query is active or any timer it set is still
-// pending (core::IcpdaApp::timers_pending). A retired query's instance
-// receives no frames, but its stray timers still fire, and may send.
+// instance lives while its query is running or any timer it set is
+// still pending (core::IcpdaApp::timers_pending). A retired query's
+// instance receives no frames, but its stray timers still fire, may
+// send, and may add to the per-node tallies of the record's outcome.
 // Each time the mux creates an instance it first frees every
 // instance whose query has retired and whose timers have all fired, so
 // a node holds the in-flight queries' instances plus the few retired
@@ -28,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -38,19 +41,16 @@
 
 namespace icpda::service {
 
-/// One in-flight (or retired) query as the mux sees it: the per-query
-/// protocol configuration and the shared outcome every node's instance
-/// writes into. Entries live in a std::map so their addresses are
-/// stable for the lifetime of the run.
-struct ActiveQuery {
-  core::IcpdaConfig config;  ///< protocol config with query_id stamped
-  core::IcpdaOutcome outcome;
-  bool active = false;  ///< routing gate: retired queries drop frames
-};
-
 /// State shared by every node's mux, owned by the Dispatcher.
 struct ServiceState {
-  std::map<std::uint32_t, ActiveQuery> queries;
+  /// One record per query, in id order: query q's is records[q - 1].
+  /// Built once from the arrival schedule and never resized after, so
+  /// the address of a record's outcome, which every instance of that
+  /// query writes into, is stable for the run.
+  std::vector<CompletionRecord> records;
+  /// Protocol config of every query; each instance gets a copy with
+  /// its query_id stamped in.
+  core::IcpdaConfig protocol;
   proto::ReadingProvider readings;
   const crypto::KeyScheme* keys = nullptr;
   /// Seed salt for per-(node, query) protocol randomness.
@@ -58,9 +58,10 @@ struct ServiceState {
   /// Benign service runs mount no attack; one shared empty plan.
   core::AttackPlan no_attack;
 
-  [[nodiscard]] ActiveQuery* find(std::uint32_t query_id) {
-    const auto it = queries.find(query_id);
-    return it == queries.end() ? nullptr : &it->second;
+  /// Query `query_id`'s record; nullptr when no query has that id. The
+  /// id is checked before it indexes: the mux peeks it off the wire.
+  [[nodiscard]] CompletionRecord* record(std::uint32_t query_id) {
+    return query_id >= 1 && query_id <= records.size() ? &records[query_id - 1] : nullptr;
   }
 };
 
@@ -88,9 +89,10 @@ class QueryMux final : public net::App {
   void on_overhear(net::Node& node, const net::Frame& frame) override;
   void on_send_failed(net::Node& node, const net::Frame& frame) override;
 
-  /// Base station only: create this query's instance and open its
-  /// epoch (the flood is scheduled start_delay_s from now).
-  void launch(net::Node& node, ActiveQuery& query);
+  /// Base station only: create the instance of running query
+  /// `query_id` and open its epoch (the flood is scheduled
+  /// start_delay_s from now).
+  void launch(net::Node& node, std::uint32_t query_id);
 
   /// Instances created on this node so far, reclaimed ones included.
   [[nodiscard]] std::size_t instance_count() const { return instance_count_; }
@@ -103,10 +105,7 @@ class QueryMux final : public net::App {
  private:
   /// One query's protocol instance on this node, allocated as one cell.
   struct Instance {
-    Instance(const ServiceState& state, ActiveQuery& query, std::uint64_t seed)
-        : rng(seed),
-          app(query.config, state.readings, state.keys, &state.no_attack,
-              &query.outcome, /*adversary=*/nullptr, /*adv=*/nullptr, &rng) {}
+    Instance(ServiceState& state, std::uint32_t query_id, std::uint64_t seed);
     sim::Rng rng;  ///< declared first: the app draws through a pointer to it
     core::IcpdaApp app;
   };
@@ -115,15 +114,15 @@ class QueryMux final : public net::App {
     std::unique_ptr<Instance> instance;
   };
 
-  /// Get-or-create the per-query protocol instance on this node.
-  core::IcpdaApp& instance(net::Node& node, ActiveQuery& query);
+  /// Get-or-create running query `query_id`'s instance on this node.
+  core::IcpdaApp& instance(net::Node& node, std::uint32_t query_id);
   /// Route one frame; returns the target app or nullptr (dropped).
   core::IcpdaApp* route(net::Node& node, const net::Frame& frame);
 
   ServiceState* state_;
   /// The instances not yet reclaimed, in creation order. Only queries
-  /// route() has found active in the service state ever get an entry,
-  /// never an id peeked off the wire.
+  /// whose record is running ever get an entry, never an id peeked off
+  /// the wire unchecked.
   std::vector<Entry> live_;
   std::size_t instance_count_ = 0;
 };

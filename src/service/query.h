@@ -1,12 +1,13 @@
-// Continuous-query service: query descriptors and completion records.
+// Continuous-query service: each query's record.
 //
 // The paper evaluates iCPDA one query epoch at a time; the service
 // layer (DESIGN.md §5h) treats aggregation as a *network service*
 // instead — an open-loop stream of SUM/AVG/VAR queries multiplexed
 // over one deployment, each query running the full three-phase
 // protocol under its own QueryId. This header holds the value types
-// shared by the dispatcher, the per-node mux and the benches: what a
-// query asks for, and what became of it.
+// shared by the dispatcher, the per-node mux and the benches: one
+// record per query, holding what it asks for, where it is in its
+// lifecycle, and what became of it.
 #pragma once
 
 #include <cstdint>
@@ -33,18 +34,9 @@ enum class AggregateKind : std::uint8_t {
 [[nodiscard]] double finish_aggregate(AggregateKind kind,
                                       const proto::Aggregate& a);
 
-/// One query as submitted to the service (before admission).
-struct QueryDescriptor {
-  /// Service-assigned id, >= 1 (0 is reserved: peek_query_id returns 0
-  /// for unreadable payloads). Stamped into every frame of the query's
-  /// epoch via IcpdaConfig::query_id.
-  std::uint32_t id = 0;
-  AggregateKind kind = AggregateKind::kSum;
-  /// When the query entered the system (open-loop arrival process).
-  sim::SimTime arrival;
-};
-
-/// Terminal state of a query.
+/// Lifecycle state of a query. A query starts kPending and ends in
+/// one of the three terminal states; only a kRunning query's frames
+/// are routed to protocol instances.
 enum class QueryStatus : std::uint8_t {
   /// Ran a full epoch; `outcome` holds the base station's view.
   kCompleted = 0,
@@ -53,15 +45,25 @@ enum class QueryStatus : std::uint8_t {
   kDroppedDeadline = 1,
   /// Rejected on arrival: the waiting queue was already full.
   kRejectedQueue = 2,
+  /// Not launched yet: its arrival is still ahead, or it is waiting.
+  kPending = 3,
+  /// Launched; its epoch is open and its frames are routed.
+  kRunning = 4,
 };
 
 [[nodiscard]] const char* query_status_name(QueryStatus s);
 
-/// Per-query completion record, the service's unit of accounting.
+/// Per-query record: the service's only per-query state, and its unit
+/// of accounting. Made when the arrival schedule is drawn, then
+/// updated in place as the query is launched, dropped or completed.
 struct CompletionRecord {
+  /// Service-assigned id, >= 1 (0 is reserved: peek_query_id returns 0
+  /// for unreadable payloads). Stamped into every frame of the query's
+  /// epoch via IcpdaConfig::query_id.
   std::uint32_t id = 0;
   AggregateKind kind = AggregateKind::kSum;
-  QueryStatus status = QueryStatus::kCompleted;
+  QueryStatus status = QueryStatus::kPending;
+  /// When the query entered the system (open-loop arrival process).
   sim::SimTime arrival;
   sim::SimTime launched;   ///< zero unless the query launched
   sim::SimTime closed;     ///< epoch close time (completed only)
@@ -79,7 +81,12 @@ struct CompletionRecord {
   double coverage = 0.0;
   /// Integrity verdict (no significant tamper alarms).
   bool accepted = false;
-  /// Full base-station outcome (completed queries only).
+  /// The epoch's outcome, written in place by every node's protocol
+  /// instance for this query (default for a query never launched).
+  /// The base station's view (result, closed_at, last_report_at,
+  /// alarms, significant_alarms, cluster_sizes) is final once the query
+  /// completes; a retired instance's stray timers may still add to the
+  /// per-node tallies afterwards (DESIGN.md §5h).
   core::IcpdaOutcome outcome;
 };
 

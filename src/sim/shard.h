@@ -39,7 +39,7 @@
 namespace icpda::sim {
 
 /// Most shards one Network may run: each shard is a worker thread, so
-/// an unchecked count (--shards, ICPDA_SHARDS, NetworkConfig::shards)
+/// an unchecked count (--shards, NetworkConfig::shards)
 /// asks for that many threads at once. 8x the largest count any test
 /// or bench uses.
 inline constexpr std::size_t kMaxShards = 64;

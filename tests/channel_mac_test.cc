@@ -12,7 +12,6 @@
 #include "net/mac.h"
 #include "net/network.h"
 #include "net/node.h"
-#include "net/wire.h"
 #include "sim/shard.h"
 
 namespace icpda::net {
@@ -257,13 +256,12 @@ TEST(ChannelMacTest, AckAddressedElsewhereDoesNotCompletePendingFrame) {
   rig.network.set_node_down(1);
   channel.add_tap([&](NodeId sender, const Frame& f) {
     if (sender != 0 || f.type != 42) return;
-    WireWriter w;
-    w.u32(f.seq);
     Frame ack;
     ack.src = 1;
     ack.dst = 2;
     ack.type = kMacAck;
-    ack.payload = std::move(w).take();
+    ack.payload = {static_cast<std::uint8_t>(f.seq), static_cast<std::uint8_t>(f.seq >> 8),
+                   static_cast<std::uint8_t>(f.seq >> 16), static_cast<std::uint8_t>(f.seq >> 24)};
     const sim::SimTime gap = channel.airtime(f) + sim::seconds(20e-6);
     sched.after(gap, [&channel, ack] { channel.transmit(1, ack, nullptr); });
   });
@@ -274,6 +272,35 @@ TEST(ChannelMacTest, AckAddressedElsewhereDoesNotCompletePendingFrame) {
   // Per attempt, all intact: the data frame at D, the ACK at B and C.
   EXPECT_EQ(rig.network.metrics().counter("channel.rx_ok"), 3 * attempts);
   EXPECT_EQ(rig.network.metrics().counter("mac.ack_received"), 0u);
+  ASSERT_EQ(rig.apps[0]->failed.size(), 1u);
+}
+
+TEST(ChannelMacTest, ShortAckIsMalformedAndCompletesNothing) {
+  // As above, but each ACK is addressed to B and carries only the low
+  // three bytes of the echoed sequence number: B counts every one as
+  // malformed, completes nothing and exhausts its retries.
+  Rig rig(line_topology());
+  auto& channel = rig.network.channel();
+  auto& sched = rig.network.scheduler();
+  rig.network.set_node_down(1);
+  channel.add_tap([&](NodeId sender, const Frame& f) {
+    if (sender != 0 || f.type != 42) return;
+    Frame ack;
+    ack.src = 1;
+    ack.dst = 0;
+    ack.type = kMacAck;
+    ack.payload = {static_cast<std::uint8_t>(f.seq), static_cast<std::uint8_t>(f.seq >> 8),
+                   static_cast<std::uint8_t>(f.seq >> 16)};
+    const sim::SimTime gap = channel.airtime(f) + sim::seconds(20e-6);
+    sched.after(gap, [&channel, ack] { channel.transmit(1, ack, nullptr); });
+  });
+  sched.after(sim::seconds(0.001), [&] { rig.network.node(0).send(1, 42, {1}); });
+  rig.network.run();
+  const std::uint64_t attempts = rig.network.config().mac.max_retries + 1;
+  EXPECT_EQ(rig.network.metrics().counter("mac.tx_attempts"), attempts);
+  EXPECT_EQ(rig.network.metrics().counter("mac.malformed_ack"), attempts);
+  EXPECT_EQ(rig.network.metrics().counter("mac.ack_received"), 0u);
+  EXPECT_EQ(rig.network.metrics().counter("mac.tx_ok"), 0u);
   ASSERT_EQ(rig.apps[0]->failed.size(), 1u);
 }
 

@@ -717,6 +717,62 @@ TEST(IcpdaProtocolTest, HeadReportAuditedBeforeTheDigestIsNoKnowledge) {
   EXPECT_TRUE(rig.outcome.accepted());
 }
 
+TEST(IcpdaProtocolTest, DigestWithAnotherMemberListIsMalformed) {
+  // A digest is solved against the member's own roster seeds, so one
+  // listing other members cannot be endorsed: the member counts
+  // digest_malformed, never learns its cluster sum, and stands down at
+  // its digest deadline.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  const auto target = forge_member_digests(
+      network, [](proto::ClusterDigestMsg& d, std::size_t idx) {
+        d.members[idx == 0 ? 1 : 0] = 0xBAD;  // another member's id, not ours
+      });
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys);
+  ASSERT_NE(*target, net::kNoNode);
+  EXPECT_GE(network.metrics().counter("icpda.digest_malformed"), 1u);
+  const IcpdaApp& member = *rig.apps[*target];
+  EXPECT_FALSE(member.cluster_value().has_value()) << "witness armed on a malformed digest";
+  EXPECT_EQ(member.role(), ClusterRole::kUnclustered);
+  EXPECT_GE(network.metrics().counter("icpda.digest_missed"), 1u);
+}
+
+TEST(IcpdaProtocolTest, ReportHandedTwiceToTheBaseStationIsMergedOnce) {
+  // Reporter-level dedupe: the base station is handed the first child
+  // report it receives a second time. That copy counts one more
+  // report_duplicate than the run that saw one copy (re-hands already
+  // cause a few there) and is not merged, so the result is
+  // bit-identical to that run's; merged, it would count twice.
+  const auto keys = master_keys();
+  IcpdaConfig cfg;
+  const auto run = [&](bool replay) {
+    net::Network network(paper_network(200, 28));
+    bool replayed = false;
+    Rig rig(network, cfg, proto::constant_reading(1.0), keys, {}, [&](Rig& r) {
+      rewrite_deliveries(network, [&](net::NodeId receiver, net::Frame& frame) {
+        if (!replay || replayed || receiver != 0 || frame.dst != 0 ||
+            frame.type != proto::kClusterReport) {
+          return true;
+        }
+        replayed = true;
+        network.scheduler().after(sim::seconds(0.001), [&, copy = frame] {
+          r.apps[0]->on_receive(network.node(0), copy);
+        });
+        return true;
+      });
+    });
+    EXPECT_EQ(replayed, replay);
+    return std::pair{rig.outcome.result, network.metrics().counter("icpda.report_duplicate")};
+  };
+  const auto [once, once_duplicates] = run(false);
+  const auto [twice, duplicates] = run(true);
+  EXPECT_EQ(duplicates, once_duplicates + 1);
+  ASSERT_TRUE(once.has_value());
+  ASSERT_TRUE(twice.has_value());
+  EXPECT_EQ(*twice, *once);
+}
+
 /// Parameterized density sweep: coverage (heads+members) must stay
 /// high across the paper's size range.
 class IcpdaCoverageTest : public ::testing::TestWithParam<std::size_t> {};

@@ -5,7 +5,6 @@
 
 #include "net/geometry.h"
 #include "net/topology.h"
-#include "net/wire.h"
 #include "sim/rng.h"
 
 namespace icpda::net {
@@ -106,79 +105,6 @@ TEST(TopologyTest, PaperDensityTable) {
     const double model = field.expected_degree(row.n, 50.0) * 0.903;
     EXPECT_NEAR(measured, model, 0.5) << "N=" << row.n;
   }
-}
-
-// ---- wire -----------------------------------------------------------
-
-TEST(WireTest, RoundTripScalars) {
-  WireWriter w;
-  w.u8(0xAB);
-  w.u16(0xBEEF);
-  w.u32(0xDEADBEEF);
-  w.u64(0x0123456789ABCDEFULL);
-  w.i64(-42);
-  w.f64(3.14159);
-  const Bytes buf = std::move(w).take();
-
-  WireReader r(buf);
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u16(), 0xBEEF);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.i64(), -42);
-  EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
-  EXPECT_TRUE(r.done());
-}
-
-TEST(WireTest, RoundTripContainers) {
-  WireWriter w;
-  w.blob({1, 2, 3});
-  w.f64_vec({1.5, -2.5});
-  w.u32_vec({7, 8, 9});
-  const Bytes buf = std::move(w).take();
-
-  WireReader r(buf);
-  EXPECT_EQ(r.blob(), (Bytes{1, 2, 3}));
-  EXPECT_EQ(r.f64_vec(), (std::vector<double>{1.5, -2.5}));
-  EXPECT_EQ(r.u32_vec(), (std::vector<std::uint32_t>{7, 8, 9}));
-}
-
-TEST(WireTest, EmptyContainers) {
-  WireWriter w;
-  w.blob({});
-  w.u32_vec({});
-  const Bytes buf = std::move(w).take();
-  WireReader r(buf);
-  EXPECT_TRUE(r.blob().empty());
-  EXPECT_TRUE(r.u32_vec().empty());
-  EXPECT_TRUE(r.done());
-}
-
-TEST(WireTest, TruncationThrows) {
-  WireWriter w;
-  w.u64(1);
-  Bytes buf = std::move(w).take();
-  buf.pop_back();
-  WireReader r(buf);
-  EXPECT_THROW(r.u64(), WireError);
-}
-
-TEST(WireTest, OversizedLengthPrefixThrows) {
-  WireWriter w;
-  w.u32(1000000);  // claims a million bytes follow
-  const Bytes buf = std::move(w).take();
-  WireReader r(buf);
-  EXPECT_THROW(r.blob(), WireError);
-}
-
-TEST(WireTest, SpecialFloats) {
-  WireWriter w;
-  w.f64(std::numeric_limits<double>::infinity());
-  w.f64(-0.0);
-  const Bytes buf = std::move(w).take();
-  WireReader r(buf);
-  EXPECT_TRUE(std::isinf(r.f64()));
-  EXPECT_EQ(r.f64(), 0.0);
 }
 
 }  // namespace

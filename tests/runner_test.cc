@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -249,32 +248,16 @@ TEST(CliTest, PointSpecRangesAndDedup) {
   EXPECT_FALSE(parse_point_spec("a-b", points));
 }
 
-TEST(CliTest, CountsAtTheirFieldsLimitsAndEnvThreadsThatWouldWrap) {
+TEST(CliTest, CountsAtTheirFieldsLimits) {
   const auto edge = parse_or_die({"--threads=4294967295", "--trials=2147483647"});
   EXPECT_EQ(edge.threads, 4294967295u);
   EXPECT_EQ(edge.trials, 2147483647);
-
-  setenv("ICPDA_THREADS", "4294967296", 1);
-  const char* argv[] = {"bench_x"};
-  RunnerOptions options;
-  std::string error;
-  EXPECT_FALSE(parse_cli(1, const_cast<char**>(argv), options, error));
-  EXPECT_NE(error.find("ICPDA_THREADS"), std::string::npos) << error;
-  unsetenv("ICPDA_THREADS");
 }
 
-TEST(CliTest, ShardCeilingHoldsForFlagAndEnv) {
-  // Each shard is a thread: ICPDA_SHARDS=20000 would start 20000 of
-  // them (the flag's out-of-range cases are in RejectsMalformedInput).
+TEST(CliTest, ShardCeilingHoldsForFlag) {
+  // Each shard is a thread: the ceiling itself is accepted (the counts
+  // above it are refused in RejectsMalformedInput).
   EXPECT_EQ(parse_or_die({"--shards=64"}).shards, sim::kMaxShards);
-  setenv("ICPDA_SHARDS", "20000", 1);
-  const char* argv[] = {"bench_x"};
-  RunnerOptions options;
-  std::string error;
-  EXPECT_FALSE(parse_cli(1, const_cast<char**>(argv), options, error));
-  EXPECT_NE(error.find("ICPDA_SHARDS"), std::string::npos) << error;
-  EXPECT_EQ(options.shards, 1u);
-  unsetenv("ICPDA_SHARDS");
 }
 
 // ---- Campaign end-to-end --------------------------------------------
@@ -464,11 +447,7 @@ TEST(CampaignTest, PoolIsNoLargerThanTheCellCount) {
 }
 
 TEST(CampaignTest, ShardsAndTraceReachCellsAndRows) {
-  unsetenv("ICPDA_SHARDS");
   const RunnerOptions options = parse_or_die({"--shards=4", "--trace"});
-  // The shard count travels in CellContext, not through the process
-  // environment.
-  EXPECT_EQ(std::getenv("ICPDA_SHARDS"), nullptr);
 
   Campaign c = test_campaign();
   c.cell = [](CellContext& ctx) {

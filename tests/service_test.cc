@@ -191,8 +191,48 @@ TEST(ServiceTest, DeadlineDropsAndQueueRejectionsAreAccounted) {
         EXPECT_EQ(r.launched.seconds(), 0.0);
         EXPECT_FALSE(r.outcome.result.has_value());
         break;
+      case service::QueryStatus::kPending:
+      case service::QueryStatus::kRunning:
+        ADD_FAILURE() << "unresolved after the run: " << service::query_status_name(r.status);
+        break;
     }
   }
+}
+
+TEST(ServiceTest, OnlyResolvedQueriesAreCounted) {
+  // Every record exists from the start of the run, pending; completed(),
+  // dropped() and rejected() count a query only once it is resolved.
+  const auto keys = master_keys();
+  net::Network network(dense_network(5));
+  service::ServiceConfig cfg;
+  cfg.protocol.pc = 1.0;
+  cfg.offered_load_qps = 2.0;
+  cfg.query_count = 12;
+  cfg.max_in_flight = 1;
+  cfg.max_queue = 2;
+  cfg.deadline_s = 12.0;
+  cfg.seed = 0xD0D0;
+  service::Dispatcher dispatcher(network, cfg, &keys, integer_reading);
+
+  std::vector<std::uint32_t> unresolved_at;  // at t = 0 s, then 8 s
+  for (const double t : {0.0, 8.0}) {
+    network.scheduler().at(sim::seconds(t), [&] {
+      std::uint32_t unresolved = 0;
+      for (const auto& r : dispatcher.records()) {
+        unresolved += r.status == service::QueryStatus::kPending ||
+                      r.status == service::QueryStatus::kRunning;
+      }
+      EXPECT_EQ(dispatcher.completed() + dispatcher.dropped() + dispatcher.rejected() +
+                    unresolved,
+                cfg.query_count);
+      unresolved_at.push_back(unresolved);
+    });
+  }
+  dispatcher.run();
+  ASSERT_EQ(unresolved_at.size(), 2u);
+  EXPECT_EQ(unresolved_at[0], cfg.query_count);
+  EXPECT_GT(unresolved_at[1], 0u);
+  EXPECT_LT(unresolved_at[1], cfg.query_count);
 }
 
 TEST(ServiceTest, AdmissionCapBoundsConcurrency) {
@@ -266,6 +306,8 @@ TEST(ServiceTest, NameHelpersCoverEveryEnumerator) {
                "dropped_deadline");
   EXPECT_STREQ(service::query_status_name(service::QueryStatus::kRejectedQueue),
                "rejected_queue");
+  EXPECT_STREQ(service::query_status_name(service::QueryStatus::kPending), "pending");
+  EXPECT_STREQ(service::query_status_name(service::QueryStatus::kRunning), "running");
 }
 
 TEST(ServiceTest, MuxDropsUnknownAndRetiredQueries) {
@@ -273,14 +315,16 @@ TEST(ServiceTest, MuxDropsUnknownAndRetiredQueries) {
   net::Network network(dense_network(3));
 
   service::ServiceState state;
+  state.records.resize(2);
   state.readings = integer_reading;
   state.keys = &keys;
   state.seed = 7;
   service::QueryMux mux(&state);
 
+  // Query 2 has not launched yet: unknown to the mux.
   auto& node = network.node(1);
   proto::HelloMsg hello;
-  hello.query_id = 99;  // never registered
+  hello.query_id = 2;
   net::Frame frame;
   frame.src = 0;
   frame.type = proto::kHello;
@@ -289,20 +333,19 @@ TEST(ServiceTest, MuxDropsUnknownAndRetiredQueries) {
   EXPECT_EQ(mux.instance_count(), 0u);
   EXPECT_EQ(network.metrics().counter("service.frame_unknown_query"), 1u);
 
-  // Registered but retired: dropped before any instance is created.
-  auto& q = state.queries[99];
-  q.config.query_id = 99;
-  q.active = false;
+  // Completed (retired): dropped before any instance is created.
+  auto& q = state.records[1];
+  q.status = service::QueryStatus::kCompleted;
   mux.on_receive(node, frame);
   EXPECT_EQ(mux.instance_count(), 0u);
   EXPECT_EQ(network.metrics().counter("service.frame_retired_query"), 1u);
 
-  // Activated: the frame now builds the per-query instance and routes.
-  q.active = true;
+  // Running: the frame now builds the per-query instance and routes.
+  q.status = service::QueryStatus::kRunning;
   mux.on_receive(node, frame);
   EXPECT_EQ(mux.instance_count(), 1u);
-  ASSERT_NE(mux.instance_for(99), nullptr);
-  EXPECT_TRUE(mux.instance_for(99)->joined_tree());
+  ASSERT_NE(mux.instance_for(2), nullptr);
+  EXPECT_TRUE(mux.instance_for(2)->joined_tree());
 
   // Truncated payload (no QueryId prefix): dropped, never routed.
   net::Frame junk;
@@ -314,14 +357,42 @@ TEST(ServiceTest, MuxDropsUnknownAndRetiredQueries) {
   EXPECT_EQ(mux.instance_count(), 1u);
 }
 
-/// A query `id` registered active in `state`, and the base station's
-/// hop-0 query flood for it: delivered to a sensor, it builds the
-/// query's instance there and joins it to the tree, which arms its
-/// Phase III report timer.
+TEST(ServiceTest, MuxCountsOutOfRangeQueryIdsAsUnknown) {
+  // The id is peeked off the wire, so it must be range-checked before
+  // it indexes a record. Both records are running: a missing check
+  // would read one past the end (ASan reports it) or far beyond it.
+  const auto keys = master_keys();
+  net::Network network(dense_network(3));
+
+  service::ServiceState state;
+  state.records = std::vector<service::CompletionRecord>(2);
+  for (auto& r : state.records) r.status = service::QueryStatus::kRunning;
+  state.readings = integer_reading;
+  state.keys = &keys;
+  state.seed = 7;
+  service::QueryMux mux(&state);
+
+  for (const std::uint32_t id : {3u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(state.record(id), nullptr) << id;
+    proto::HelloMsg hello;
+    hello.query_id = id;
+    net::Frame frame;
+    frame.src = 0;
+    frame.type = proto::kHello;
+    frame.payload = hello.to_bytes();
+    mux.on_receive(network.node(1), frame);
+  }
+  EXPECT_EQ(mux.instance_count(), 0u);
+  EXPECT_EQ(network.metrics().counter("service.frame_unknown_query"), 2u);
+  EXPECT_EQ(network.metrics().counter("service.frame_retired_query"), 0u);
+}
+
+/// Query `id` set running in `state` (whose records must already
+/// cover it), and the base station's hop-0 query flood for it:
+/// delivered to a sensor, it builds the query's instance there and
+/// joins it to the tree, which arms its Phase III report timer.
 net::Frame activate(service::ServiceState& state, std::uint32_t id) {
-  auto& q = state.queries[id];
-  q.config.query_id = id;
-  q.active = true;
+  state.records[id - 1].status = service::QueryStatus::kRunning;
   proto::HelloMsg hello;
   hello.query_id = id;
   net::Frame frame;
@@ -336,6 +407,7 @@ TEST(ServiceTest, RetiredInstanceOutlivesItsPendingTimers) {
   net::Network network(dense_network(3));
 
   service::ServiceState state;
+  state.records.resize(3);
   state.readings = integer_reading;
   state.keys = &keys;
   state.seed = 7;
@@ -350,7 +422,7 @@ TEST(ServiceTest, RetiredInstanceOutlivesItsPendingTimers) {
 
   // A retires with timers queued: creating B's instance must keep it,
   // or those timers would fire into freed memory.
-  state.queries[1].active = false;
+  state.records[0].status = service::QueryStatus::kCompleted;
   mux.on_receive(node, activate(state, 2));
   ASSERT_EQ(mux.instance_for(1), a);
   EXPECT_EQ(mux.live_instances(), 2u);
@@ -450,8 +522,8 @@ InstancePeaks run_counting_instances(std::uint32_t query_count) {
     std::size_t waiting = 0;
     for (std::uint32_t q = 1; q <= query_count; ++q) {
       const core::IcpdaApp* app = mux.instance_for(q);
-      const service::ActiveQuery* query = dispatcher.state().find(q);
-      if (app != nullptr && !query->active && app->timers_pending() > 0) ++waiting;
+      const bool running = dispatcher.records()[q - 1].status == service::QueryStatus::kRunning;
+      if (app != nullptr && !running && app->timers_pending() > 0) ++waiting;
     }
     EXPECT_LE(mux.live_instances(), cfg.max_in_flight + waiting)
         << "node " << node.id() << " after instance " << mux.instance_count();
