@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
         // survive ring wrap for the conservation check to be meaningful.
         sim::Tracer::Config tcfg;
         tcfg.rx_events = false;
-        tcfg.mac_events = false;
         network.enable_trace(tcfg);
       }
       core::IcpdaConfig cfg;
@@ -95,12 +94,11 @@ int main(int argc, char** argv) {
               std::to_string(phase_sum) + " != channel.tx_bytes " +
               std::to_string(total) + " (n=" + std::to_string(n) + ")");
         }
-        const auto& epoch0 = report.per_epoch.at(0);
+        const auto& epoch0 = report.tx_bytes.at(0);
         for (const sim::TracePhase phase : kReportedPhases) {
           ctx.metrics.observe(
               std::string("icpda_phase.") + sim::trace_phase_name(phase),
-              static_cast<double>(
-                  epoch0[static_cast<std::size_t>(phase)].tx_bytes));
+              static_cast<double>(epoch0[static_cast<std::size_t>(phase)]));
         }
       }
     }

@@ -74,13 +74,10 @@ struct AdversaryPlan {
   /// drawing pc (a compromised node is not bound by honest coin
   /// flips); withholders avoid it (they starve clusters as members).
   bool force_head = true;
-  /// Disclosure heads truncate their roster to the coalition plus at
-  /// most one honest victim — the full-rank configuration.
-  bool engineer_roster = true;
   /// Bias added to each polluting head's cluster sum.
   double pollution_delta = 25.0;
   /// Captured frames a replaying node re-injects per epoch.
-  std::size_t replay_budget = 12;
+  static constexpr std::size_t replays_per_epoch = 12;
 
   [[nodiscard]] bool marks(net::NodeId id) const { return compromised.contains(id); }
   [[nodiscard]] bool active() const {

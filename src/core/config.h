@@ -119,7 +119,7 @@ struct IcpdaConfig {
   /// Numeric tolerance when a witness compares the head's outgoing sum
   /// with its own reconstruction (floating-point slack only; losses
   /// are handled by claim matching, not by this threshold).
-  double witness_tolerance = 1e-6;
+  static constexpr double witness_tolerance = 1e-6;
   /// Inputs overheard within this window before the head's report are
   /// exempt from omission alarms: the head builds the report payload at
   /// its slot but the frame airs only after MAC queueing/backoff (up to

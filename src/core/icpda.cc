@@ -355,7 +355,7 @@ void IcpdaApp::close_roster(net::Node& node) {
   roster.epoch_tag = config_.hardening.epoch_tag;
   roster.members.push_back(node.id());
 
-  if (attacking(AttackClass::kDisclosure, node) && adversary_->engineer_roster) {
+  if (attacking(AttackClass::kDisclosure, node)) {
     // Coalition roster engineering (Sen–Maitra setup): admit every
     // compromised joiner and at most ONE honest victim. With a single
     // honest polynomial left unknown, the coalition's pooled shares
@@ -1481,7 +1481,7 @@ void IcpdaApp::maybe_capture(net::Node& node, const net::Frame& frame) {
 }
 
 void IcpdaApp::schedule_replays(net::Node& node) {
-  std::uint32_t budget = adversary_->replay_budget;
+  std::uint32_t budget = adversary_->replays_per_epoch;
   for (const auto& cap : adv_->captured) {
     if (budget == 0) break;
     if (cap.capturer != node.id() || cap.epoch >= adv_->epoch) continue;

@@ -121,8 +121,7 @@ class IcpdaApp final : public net::App {
         adversary_(adversary),
         adv_(adv),
         rng_override_(rng_override),
-        monitor_(WitnessMonitor::Config{config.witness_tolerance,
-                                        config.omission_guard_s}) {
+        monitor_(WitnessMonitor::Config{config.omission_guard_s}) {
     if (attack_ == nullptr || outcome_ == nullptr) {
       throw std::invalid_argument("IcpdaApp needs an attack plan and an outcome sink");
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/config.h"
+
 namespace icpda::core {
 
 void WitnessMonitor::record_input(const proto::ReportMsg& report, sim::SimTime heard_at) {
@@ -41,7 +43,7 @@ WitnessMonitor::Verdict WitnessMonitor::audit(const proto::ReportMsg& outgoing,
   // total must equal the sum of the claimed items.
   proto::Aggregate item_total;
   for (const auto& item : outgoing.items) item_total.merge(item.value);
-  if (!triples_match(item_total, outgoing.aggregate, config_.tolerance)) {
+  if (!triples_match(item_total, outgoing.aggregate, IcpdaConfig::witness_tolerance)) {
     v.kind = Verdict::Kind::kMismatch;
     v.expected_sum = item_total.sum;
     return v;
@@ -52,7 +54,7 @@ WitnessMonitor::Verdict WitnessMonitor::audit(const proto::ReportMsg& outgoing,
     if (item.id == target_) {
       // The head's own item must be the cluster sum we solved.
       cluster_claimed = true;
-      if (!triples_match(item.value, cluster_sum_, config_.tolerance)) {
+      if (!triples_match(item.value, cluster_sum_, IcpdaConfig::witness_tolerance)) {
         v.kind = Verdict::Kind::kMismatch;
         v.expected_sum = cluster_sum_.sum;
         v.observed_sum = item.value.sum;
@@ -66,7 +68,7 @@ WitnessMonitor::Verdict WitnessMonitor::audit(const proto::ReportMsg& outgoing,
       ++v.unverified_items;
       continue;
     }
-    if (!triples_match(item.value, it->second.aggregate, config_.tolerance)) {
+    if (!triples_match(item.value, it->second.aggregate, IcpdaConfig::witness_tolerance)) {
       v.kind = Verdict::Kind::kMismatch;
       v.expected_sum = it->second.aggregate.sum;
       v.observed_sum = item.value.sum;

@@ -38,8 +38,9 @@ namespace icpda::core {
 
 class WitnessMonitor {
  public:
+  /// Items compare within IcpdaConfig::witness_tolerance, scaled by
+  /// magnitude.
   struct Config {
-    double tolerance = 1e-6;
     /// Inputs overheard within this window before the head's report
     /// are exempt from omission alarms (the head may legitimately have
     /// closed aggregation already).

@@ -84,7 +84,7 @@ void Mac::send(Frame frame) {
 
 sim::SimTime Mac::random_backoff() {
   const std::uint64_t slots = rng_.below(cw_) + 1;
-  if (tracer_ && tracer_->enabled() && tracer_->config().mac_events) {
+  if (tracer_ && tracer_->enabled() && tracer_->config().rx_events) {
     tracer_->counter(self_, sim::TraceCounter::kBackoffSlots, slots, sched_.now());
   }
   return sim::seconds(static_cast<double>(slots) * config_.slot_time_s);

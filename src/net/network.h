@@ -115,9 +115,9 @@ class Network {
   /// Engine of the last/current sharded run; null when unsharded.
   [[nodiscard]] const ShardEngine* shard_engine() const { return engine_.get(); }
   /// Force every event through the engine's serialized gate. run() also
-  /// turns this on by itself when arbitrary cross-shard shared state is
-  /// attached (channel taps, scheduler-span tracing); protocol drivers
-  /// set it for adversary runs (shared AdversaryState). Sticky.
+  /// serializes by itself when channel taps (arbitrary cross-shard
+  /// observers) are attached; protocol drivers set it for adversary
+  /// runs (shared AdversaryState). Sticky.
   void set_serialize_all(bool serialize) { serialize_all_ = serialize; }
 
   // ---- Structured tracing -------------------------------------------

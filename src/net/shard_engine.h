@@ -47,9 +47,9 @@
 // single-shard engine.
 //
 // serialize_all runs every event through the gate (used when arbitrary
-// shared state is attached: adversary co-ordination, channel taps,
-// scheduler-span tracing). Still the same canonical order — just zero
-// parallelism.
+// shared state is attached: adversary co-ordination via
+// Network::set_serialize_all, or channel taps). Still the same
+// canonical order — just zero parallelism.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "proto/messages.h"
 
 namespace icpda::service {
+
+namespace {
+
+/// Aggregate kinds, assigned round-robin by arrival index.
+constexpr AggregateKind kKindCycle[] = {AggregateKind::kSum, AggregateKind::kAvg,
+                                        AggregateKind::kVar};
+
+}  // namespace
 
 Dispatcher::Dispatcher(net::Network& net, ServiceConfig config,
                        const crypto::KeyScheme* keys,
@@ -148,9 +157,7 @@ sim::SimTime Dispatcher::run() {
     t += arrivals.exponential(std::max(config_.offered_load_qps, 1e-9));
     CompletionRecord& rec = state_.records.emplace_back();
     rec.id = i + 1;  // 0 is reserved (peek_query_id's "unreadable")
-    rec.kind = config_.kind_cycle.empty()
-                   ? AggregateKind::kSum
-                   : config_.kind_cycle[i % config_.kind_cycle.size()];
+    rec.kind = kKindCycle[i % std::size(kKindCycle)];
     rec.arrival = sim::seconds(t);
     net_.scheduler().at(rec.arrival, [this, id = rec.id] { arrive(state_.records[id - 1]); });
   }

@@ -6,6 +6,7 @@
 // admits the queries against a max-in-flight cap with a deadline-based
 // drop policy, and opens each admitted query's epoch at the base
 // station (per-query QueryId, routed by the QueryMux on every node).
+// Query kinds cycle SUM, AVG, VAR by arrival index.
 // The record is the query's only state: arrival events and the waiting
 // queue carry its id, and every node's instance of the query writes
 // into its outcome. Epochs overlap freely: the per-node protocol state
@@ -53,10 +54,6 @@ struct ServiceConfig {
   double deadline_s = 30.0;
   /// Arrival-process seed and per-(node, query) protocol RNG salt.
   std::uint64_t seed = 1;
-  /// Aggregate kinds assigned round-robin by arrival index.
-  std::vector<AggregateKind> kind_cycle{AggregateKind::kSum,
-                                        AggregateKind::kAvg,
-                                        AggregateKind::kVar};
 };
 
 class Dispatcher {

@@ -49,13 +49,11 @@ const char* trace_kind_name(TraceEvent::Kind k) {
 }
 
 void Tracer::enable(std::size_t node_count, Config config) {
-  if constexpr (!kTraceCompiled) return;
   config_ = config;
   rings_.assign(node_count + 1, Ring{});
-  for (std::size_t i = 0; i < node_count; ++i) {
-    rings_[i].slots.resize(std::max<std::size_t>(1, config.node_capacity));
+  for (Ring& ring : rings_) {
+    ring.slots.resize(std::max<std::size_t>(1, config.capacity));
   }
-  rings_[node_count].slots.resize(std::max<std::size_t>(1, config.global_capacity));
   stacks_.assign(node_count, SpanStack{});
   next_seq_ = 0;
   dropped_ = 0;
@@ -64,11 +62,6 @@ void Tracer::enable(std::size_t node_count, Config config) {
 }
 
 Tracer::Ring& Tracer::ring_for(std::uint32_t node) {
-  const std::size_t last = rings_.size() - 1;
-  return rings_[node < last ? node : last];
-}
-
-const Tracer::Ring& Tracer::ring_for(std::uint32_t node) const {
   const std::size_t last = rings_.size() - 1;
   return rings_[node < last ? node : last];
 }
@@ -207,19 +200,6 @@ TracePhase Tracer::current_phase(std::uint32_t node) const {
   if (!enabled() || node >= stacks_.size()) return TracePhase::kNone;
   const SpanStack& st = stacks_[node];
   return st.depth > 0 ? st.frames[st.depth - 1] : TracePhase::kNone;
-}
-
-std::vector<TraceEvent> Tracer::node_events(std::uint32_t node) const {
-  std::vector<TraceEvent> out;
-  if (rings_.empty()) return out;
-  const Ring& ring = ring_for(node);
-  out.reserve(ring.count);
-  const std::size_t cap = ring.slots.size();
-  const std::size_t start = (ring.head + cap - ring.count) % cap;
-  for (std::size_t i = 0; i < ring.count; ++i) {
-    out.push_back(ring.slots[(start + i) % cap]);
-  }
-  return out;
 }
 
 std::vector<TraceEvent> Tracer::merged() const {

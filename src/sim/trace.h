@@ -6,8 +6,7 @@
 // zero heap allocation on the hot path, no locks (one simulation is one
 // thread; campaign parallelism is across Networks, each with its own
 // Tracer). A disabled tracer costs one predictable branch per call
-// site, and the whole subsystem compiles to no-ops under
-// -DICPDA_TRACE_DISABLED.
+// site.
 //
 // Event model (see DESIGN.md §5e):
 //  * span begin/end  — a node enters/leaves a protocol phase
@@ -34,12 +33,6 @@
 #include "sim/time.h"
 
 namespace icpda::sim {
-
-#ifdef ICPDA_TRACE_DISABLED
-inline constexpr bool kTraceCompiled = false;
-#else
-inline constexpr bool kTraceCompiled = true;
-#endif
 
 /// Protocol phase of a span. Phases mirror the per-phase accounting of
 /// the iCPDA/iPDA papers: overhead is attributed to cluster formation
@@ -107,19 +100,17 @@ struct TraceEvent {
 class Tracer {
  public:
   struct Config {
-    /// Ring capacity per node, in events. When a ring fills, the OLDEST
-    /// events are overwritten and `dropped()` counts them — truncation
-    /// is explicit, never silent.
-    std::size_t node_capacity = 4096;
-    /// Ring capacity of the global pseudo-node (markers, query counters).
-    std::size_t global_capacity = 4096;
+    /// Ring capacity in events, of each node's ring and of the global
+    /// pseudo-node's (markers, query counters). When a ring fills, the
+    /// OLDEST events are overwritten and `dropped()` counts them —
+    /// truncation is explicit, never silent.
+    std::size_t capacity = 4096;
     /// Record receiver-side channel events (kRxBytes, kCollisionBytes,
-    /// kLossBytes). One event per in-range receiver per frame — the
-    /// dominant volume in dense networks. Disable for sender-side byte
+    /// kLossBytes) and MAC backoff draws (kBackoffSlots). The former
+    /// are one event per in-range receiver per frame — the dominant
+    /// volume in dense networks. Disable for sender-side byte
     /// accounting, where only kTxBytes must survive ring wrap.
     bool rx_events = true;
-    /// Record MAC backoff draws (kBackoffSlots).
-    bool mac_events = true;
   };
 
   Tracer() = default;
@@ -143,7 +134,7 @@ class Tracer {
   void set_sharded(bool sharded) { sharded_ = sharded; }
   [[nodiscard]] bool sharded() const { return sharded_; }
 
-  [[nodiscard]] bool enabled() const { return kTraceCompiled && enabled_; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::size_t node_count() const {
     return rings_.empty() ? 0 : rings_.size() - 1;
@@ -203,10 +194,6 @@ class Tracer {
   /// (ascending seq). O(total events log node_count).
   [[nodiscard]] std::vector<TraceEvent> merged() const;
 
-  /// Surviving events of one node ring, oldest first. `node` may be
-  /// kTraceGlobalNode.
-  [[nodiscard]] std::vector<TraceEvent> node_events(std::uint32_t node) const;
-
  private:
   struct Ring {
     std::vector<TraceEvent> slots;
@@ -228,7 +215,6 @@ class Tracer {
 
   void record(std::uint32_t node, TraceEvent ev);
   [[nodiscard]] Ring& ring_for(std::uint32_t node);
-  [[nodiscard]] const Ring& ring_for(std::uint32_t node) const;
 
   bool enabled_ = false;
   Config config_;

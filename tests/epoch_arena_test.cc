@@ -224,7 +224,6 @@ TEST(EpochArenaTest, ThreeEpochsWithRecoveryMatchFreshRunExactly) {
   // every epoch boundary and cannot overflow the ring.
   sim::Tracer::Config trace_cfg;
   trace_cfg.rx_events = false;
-  trace_cfg.mac_events = false;
 
   net::Network warm_net(topo, net_cfg);
   warm_net.enable_trace(trace_cfg);

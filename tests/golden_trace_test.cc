@@ -71,8 +71,7 @@ class GoldenTraceTest : public ::testing::Test {
         << "golden scenario must be a single component";
 
     sim::Tracer::Config tcfg;
-    tcfg.node_capacity = 16384;  // full-fidelity: nothing may ring-wrap
-    tcfg.global_capacity = 16384;
+    tcfg.capacity = 16384;  // full-fidelity: nothing may ring-wrap
     network_->enable_trace(tcfg);
 
     const auto keys =
@@ -143,8 +142,7 @@ TEST_F(GoldenTraceTest, SeedPairedRerunIsBitIdentical) {
   net::Network rerun(ncfg);
 
   sim::Tracer::Config tcfg;
-  tcfg.node_capacity = 16384;
-  tcfg.global_capacity = 16384;
+  tcfg.capacity = 16384;
   rerun.enable_trace(tcfg);
 
   const auto keys = crypto::MasterPairwiseScheme{crypto::Key::from_seed(0x601D)};
@@ -219,8 +217,7 @@ TEST(GoldenAdversaryTraceTest, AdversarialDigestMatchesGolden) {
   net::Network network(ncfg);
 
   sim::Tracer::Config tcfg;
-  tcfg.node_capacity = 16384;
-  tcfg.global_capacity = 16384;
+  tcfg.capacity = 16384;
   network.enable_trace(tcfg);
 
   const auto keys = crypto::MasterPairwiseScheme{crypto::Key::from_seed(0x601D)};

@@ -624,6 +624,54 @@ TEST(IcpdaProtocolTest, RosterWithADuplicateSeedIsRefused) {
   EXPECT_EQ(rig.outcome.members, static_cast<std::uint32_t>(rostered));
 }
 
+/// Rosters of the first cluster of >= 4 members: round 0 as its head
+/// sent it, and the recovery roster (round 1) as it reached members[1].
+struct RecoveryRosters {
+  std::optional<proto::ClusterRosterMsg> round0, round1;
+};
+
+/// Drive that cluster through Phase II recovery: its last member's F
+/// never reaches the head, so the head re-fixes its roster to the
+/// survivors and reruns the share exchange as round 1. Every other
+/// intact delivery then passes through `rewrite`.
+void force_recovery(net::Network& network, RecoveryRosters& rosters,
+                    std::function<bool(net::NodeId receiver, net::Frame&)> rewrite) {
+  rewrite_deliveries(network, [&rosters, rewrite = std::move(rewrite)](net::NodeId r,
+                                                                      net::Frame& frame) {
+    const auto& round0 = rosters.round0;
+    if (frame.type == proto::kFAnnounce && round0 && r == round0->head &&
+        frame.src == round0->members.back()) {
+      return false;  // the last member's F never reaches the head
+    }
+    if (frame.type == proto::kClusterRoster) {
+      const auto roster = proto::ClusterRosterMsg::from_bytes(frame.payload);
+      if (roster && !round0 && roster->round == 0 && roster->members.size() >= 4) {
+        rosters.round0 = roster;
+      } else if (roster && round0 && !rosters.round1 && roster->round == 1 &&
+                 roster->head == round0->head && r == round0->members[1]) {
+        rosters.round1 = roster;
+      }
+    }
+    return rewrite(r, frame);
+  });
+}
+
+/// The recovered cluster's sum is exact (constant reading 1.0: one per
+/// survivor) at its head and at members[1], and nobody alarmed.
+void expect_exact_recovery(const Rig& rig, const RecoveryRosters& rosters) {
+  ASSERT_TRUE(rosters.round1.has_value()) << "the cluster never recovered";
+  const double survivors = static_cast<double>(rosters.round1->members.size());
+  for (const net::NodeId id : {rosters.round0->head, rosters.round0->members[1]}) {
+    SCOPED_TRACE(id);
+    const auto value = rig.apps[id]->cluster_value();
+    ASSERT_TRUE(value.has_value());
+    EXPECT_NEAR(value->count, survivors, 1e-6);
+    EXPECT_NEAR(value->sum, survivors, 1e-6);
+  }
+  EXPECT_TRUE(rig.outcome.alarms.empty());
+  EXPECT_TRUE(rig.outcome.accepted());
+}
+
 TEST(IcpdaProtocolTest, RecoveryRosterWithAZeroSeedLeavesRoundZeroIntact) {
   // A head whose F from one member never arrives re-fixes its roster
   // to the survivors (Phase II recovery). One surviving member gets
@@ -632,30 +680,21 @@ TEST(IcpdaProtocolTest, RecoveryRosterWithAZeroSeedLeavesRoundZeroIntact) {
   net::Network network(paper_network(200, 30));
   IcpdaConfig cfg;
   const auto keys = master_keys();
-  std::optional<proto::ClusterRosterMsg> round0;
-  net::NodeId target = net::kNoNode;
-  rewrite_deliveries(network, [&](net::NodeId r, net::Frame& frame) {
-    if (frame.type == proto::kFAnnounce && round0 && r == round0->head &&
-        frame.src == round0->members.back()) {
-      return false;  // the last member's F never reaches the head
-    }
-    if (frame.type != proto::kClusterRoster) return true;
-    auto roster = proto::ClusterRosterMsg::from_bytes(frame.payload);
-    if (!roster) return true;
-    if (!round0 && roster->round == 0 && roster->members.size() >= 4) {
-      round0 = roster;
-      target = roster->members[1];
-    }
-    if (!round0 || roster->round == 0 || roster->head != round0->head || r != target) {
+  RecoveryRosters rosters;
+  const auto& round0 = rosters.round0;
+  force_recovery(network, rosters, [&](net::NodeId r, net::Frame& frame) {
+    if (frame.type != proto::kClusterRoster || !round0 || r != round0->members[1]) {
       return true;
     }
+    auto roster = proto::ClusterRosterMsg::from_bytes(frame.payload);
+    if (!roster || roster->round == 0 || roster->head != round0->head) return true;
     roster->seeds.back() = 0;
     frame.payload = roster->to_bytes();
     return true;
   });
   std::size_t round1_frames = 0;
   network.channel().add_tap([&](net::NodeId sender, const net::Frame& f) {
-    if (sender != target || f.type != proto::kFAnnounce) return;
+    if (!round0 || sender != round0->members[1] || f.type != proto::kFAnnounce) return;
     const auto msg = proto::FAnnounceMsg::from_bytes(f.payload);
     round1_frames += msg && msg->round != 0;
   });
@@ -663,10 +702,88 @@ TEST(IcpdaProtocolTest, RecoveryRosterWithAZeroSeedLeavesRoundZeroIntact) {
   ASSERT_TRUE(round0.has_value());
   EXPECT_GE(network.metrics().counter("icpda.phase2_recovery"), 1u);
   EXPECT_GE(network.metrics().counter("icpda.bad_roster"), 1u);
-  const ClusterContext& ctx = rig.apps[target]->cluster();
+  const ClusterContext& ctx = rig.apps[round0->members[1]]->cluster();
   EXPECT_EQ(ctx.members(), round0->members);
   EXPECT_EQ(ctx.seed_ints(), round0->seeds);
   EXPECT_EQ(round1_frames, 0u) << "the member ran the round it refused";
+}
+
+TEST(IcpdaProtocolTest, RoundZeroShareAfterRecoveryIsStale) {
+  // Once members[1] holds the recovery roster, a survivor's round-0
+  // share re-delivered to it belongs to a polynomial of the wrong
+  // degree. It counts share_stale_round and leaves the survivor's
+  // round-1 share in place, so the recovered sum stays exact.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  RecoveryRosters rosters;
+  std::map<net::NodeId, net::Frame> round0_shares;  // to members[1], by sender
+  bool replayed = false;
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys, {}, [&](Rig& rig) {
+    force_recovery(network, rosters, [&](net::NodeId r, net::Frame& frame) {
+      if (frame.type != proto::kShare || !rosters.round0 || replayed ||
+          r != rosters.round0->members[1] || frame.dst != r) {
+        return true;
+      }
+      const auto msg = proto::ShareMsg::from_bytes(frame.payload);
+      if (!msg || msg->recipient != r) return true;
+      if (!rosters.round1) {
+        round0_shares.try_emplace(msg->sender, frame);
+        return true;
+      }
+      const auto stale = round0_shares.find(msg->sender);
+      if (stale == round0_shares.end()) return true;
+      // This is the sender's round-1 share: re-deliver its round-0 one
+      // right behind it, long before the member assembles its F.
+      replayed = true;
+      network.scheduler().after(sim::seconds(1e-4), [&, r, f = stale->second] {
+        rig.apps[r]->on_receive(network.node(r), f);
+      });
+      return true;
+    });
+  });
+  ASSERT_TRUE(replayed);
+  EXPECT_EQ(network.metrics().counter("icpda.share_stale_round"), 1u);
+  expect_exact_recovery(rig, rosters);
+}
+
+TEST(IcpdaProtocolTest, RoundZeroFAfterRecoveryIsStale) {
+  // Once the head has re-fixed its roster, a survivor's round-0 F
+  // re-delivered to it carries a different-degree polynomial and a
+  // contributor list naming the lost member. It counts f_stale_round
+  // and leaves the survivor's round-1 F in place.
+  net::Network network(paper_network(200, 30));
+  IcpdaConfig cfg;
+  const auto keys = master_keys();
+  RecoveryRosters rosters;
+  std::map<net::NodeId, net::Frame> round0_fs;  // to the head, by member
+  bool replayed = false;
+  Rig rig(network, cfg, proto::constant_reading(1.0), keys, {}, [&](Rig& rig) {
+    force_recovery(network, rosters, [&](net::NodeId r, net::Frame& frame) {
+      if (frame.type != proto::kFAnnounce || !rosters.round0 || replayed ||
+          r != rosters.round0->head || frame.dst != r) {
+        return true;
+      }
+      const auto msg = proto::FAnnounceMsg::from_bytes(frame.payload);
+      if (!msg || msg->head != r || msg->member == r) return true;
+      if (msg->round == 0) {
+        round0_fs.try_emplace(msg->member, frame);
+        return true;
+      }
+      const auto stale = round0_fs.find(msg->member);
+      if (stale == round0_fs.end()) return true;
+      // This is the member's round-1 F: re-deliver its round-0 one
+      // right behind it, long before the head solves.
+      replayed = true;
+      network.scheduler().after(sim::seconds(1e-4), [&, r, f = stale->second] {
+        rig.apps[r]->on_receive(network.node(r), f);
+      });
+      return true;
+    });
+  });
+  ASSERT_TRUE(replayed);
+  EXPECT_EQ(network.metrics().counter("icpda.f_stale_round"), 1u);
+  expect_exact_recovery(rig, rosters);
 }
 
 TEST(IcpdaProtocolTest, HeadReportAuditedBeforeTheDigestIsNoKnowledge) {

@@ -133,10 +133,8 @@ TEST(WitnessMonitorTest, LateChildInsideGuardForgiven) {
 }
 
 TEST(WitnessMonitorTest, ToleranceScalesWithMagnitude) {
-  WitnessMonitor::Config cfg;
-  cfg.tolerance = 1e-6;
   const Aggregate cluster{1e9, 1e12, 1e15};
-  auto m = armed_monitor(cluster, cfg);
+  auto m = armed_monitor(cluster);
   Aggregate near = cluster;
   near.sum += 0.5;  // relative error 5e-13, far below tolerance
   const auto v = m.audit(head_report({{kHead, near}}), sim::seconds(1.0));

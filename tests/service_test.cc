@@ -124,8 +124,9 @@ TEST(ServiceTest, PipelinedMatchesSerialExactly) {
 
 TEST(ServiceTest, PipelinedAlgebraRemainsAccurateUnderOverlap) {
   // Full CPDA share algebra (default pc) with two heavily overlapping
-  // queries: the interpolation error stays numerical-noise-sized and
-  // both epochs are accepted — no cross-query interference in Phase II.
+  // queries (a SUM, then an AVG): the interpolation error stays
+  // numerical-noise-sized and both epochs are accepted — no
+  // cross-query interference in Phase II.
   const auto keys = master_keys();
   net::Network network(dense_network(23));
   ASSERT_TRUE(network.topology().connected());
@@ -136,7 +137,6 @@ TEST(ServiceTest, PipelinedAlgebraRemainsAccurateUnderOverlap) {
   cfg.max_in_flight = 2;
   cfg.deadline_s = 100.0;
   cfg.seed = 0xACC;
-  cfg.kind_cycle = {service::AggregateKind::kSum};
   service::Dispatcher dispatcher(network, cfg, &keys, integer_reading);
   dispatcher.run();
 
@@ -147,7 +147,11 @@ TEST(ServiceTest, PipelinedAlgebraRemainsAccurateUnderOverlap) {
     // The count rides through the share algebra too, so full coverage
     // is exact only up to interpolation noise.
     EXPECT_NEAR(r.coverage, 1.0, 1e-9);
-    EXPECT_NEAR(r.value, 120.0, 1e-6);  // sum of 1..15, algebra tolerance
+    // Readings 1..15: count 15, sum 120, sum of squares 1240. Each
+    // record meets its own kind's finisher up to algebra tolerance.
+    const proto::Aggregate exact{15.0, 120.0, 1240.0};
+    EXPECT_NEAR(r.value, service::finish_aggregate(r.kind, exact), 1e-6);
+    EXPECT_NEAR(r.abs_error, 0.0, 1e-6);
   }
 }
 

@@ -114,10 +114,7 @@ RunResult run_scenario(std::uint32_t nodes, double field_m, std::size_t shards,
   EXPECT_TRUE(net.topology().connected())
       << "pick a field size that keeps the deployment connected";
 
-  sim::Tracer::Config tcfg;
-  tcfg.node_capacity = 4096;
-  tcfg.global_capacity = 4096;
-  net.enable_trace(tcfg);
+  net.enable_trace();
 
   const auto keys = crypto::MasterPairwiseScheme{crypto::Key::from_seed(0x601D)};
   FaultPlan faults;

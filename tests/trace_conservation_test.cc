@@ -43,7 +43,6 @@ net::NetworkConfig dense_network(std::size_t n, std::uint64_t seed) {
 sim::Tracer::Config tx_only_trace() {
   sim::Tracer::Config cfg;
   cfg.rx_events = false;
-  cfg.mac_events = false;
   return cfg;
 }
 

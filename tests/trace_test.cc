@@ -1,19 +1,16 @@
-// Tracer unit behaviour and the trace_report toolchain: span stacks,
-// ring overflow, epoch finalization, folding, digesting, JSONL and
-// Chrome export — plus the determinism contract (tracing is purely
-// observational; identical runs yield identical digests).
+// Tracer unit behaviour and the trace fold: span stacks, ring
+// overflow, epoch finalization, folding and digesting — plus the
+// determinism contract (tracing is purely observational; identical
+// runs yield identical digests).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "analysis/trace_report.h"
 #include "core/icpda.h"
 #include "crypto/keyring.h"
 #include "net/network.h"
-#include "runner/jsonl.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
 
@@ -117,7 +114,7 @@ TEST(TraceTest, DepthClampKeepsBeginsAndEndsBalanced) {
 
 TEST(TraceTest, RingOverflowCountsDropped) {
   Tracer::Config cfg;
-  cfg.node_capacity = 4;
+  cfg.capacity = 4;
   Tracer tr;
   tr.enable(1, cfg);
   for (int i = 0; i < 10; ++i) {
@@ -125,7 +122,7 @@ TEST(TraceTest, RingOverflowCountsDropped) {
   }
   EXPECT_EQ(tr.recorded(), 10u);
   EXPECT_EQ(tr.dropped(), 6u);
-  const auto events = tr.node_events(0);
+  const auto events = tr.merged();
   ASSERT_EQ(events.size(), 4u);
   // The survivors are the newest four, oldest first.
   EXPECT_EQ(events.front().value, 6u);
@@ -182,7 +179,7 @@ TEST(TraceTest, MergedIsSortedBySeqAcrossNodes) {
 }
 
 // ---------------------------------------------------------------------
-// fold_trace: attribution, busy time, unmatched ends.
+// fold_trace: attribution, unmatched ends.
 
 TEST(TraceTest, FoldAttributesCountersToInnermostOpenSpan) {
   Tracer tr;
@@ -197,26 +194,17 @@ TEST(TraceTest, FoldAttributesCountersToInnermostOpenSpan) {
   tr.end_span(0, TracePhase::kShareExchange, at(4.0));
 
   const auto report = fold_trace(tr.merged());
-  const auto& ep0 = report.per_epoch.at(0);
+  const auto& ep0 = report.tx_bytes.at(0);
   const auto idx = [](TracePhase p) { return static_cast<std::size_t>(p); };
-  EXPECT_EQ(ep0[idx(TracePhase::kNone)].tx_bytes, 17u);
-  EXPECT_EQ(ep0[idx(TracePhase::kShareExchange)].tx_bytes, 100u);
-  EXPECT_EQ(ep0[idx(TracePhase::kReport)].tx_bytes, 1000u);
+  EXPECT_EQ(ep0[idx(TracePhase::kNone)], 17u);
+  EXPECT_EQ(ep0[idx(TracePhase::kShareExchange)], 100u);
+  EXPECT_EQ(ep0[idx(TracePhase::kReport)], 1000u);
   EXPECT_EQ(report.epoch_tx_bytes(0), 1117u);
   EXPECT_EQ(report.unmatched_ends, 0u);
-
-  // Busy time: report span 2.0..3.0, share span 1.0..4.0.
-  EXPECT_DOUBLE_EQ(ep0[idx(TracePhase::kReport)].busy_s, 1.0);
-  EXPECT_DOUBLE_EQ(ep0[idx(TracePhase::kShareExchange)].busy_s, 3.0);
-  EXPECT_EQ(ep0[idx(TracePhase::kReport)].spans, 1u);
-
-  // Per-node split.
-  EXPECT_EQ(report.per_node.at(0)[idx(TracePhase::kNone)].tx_bytes, 10u);
-  EXPECT_EQ(report.per_node.at(1)[idx(TracePhase::kNone)].tx_bytes, 7u);
 }
 
 // ---------------------------------------------------------------------
-// Digest + divergence diagnostics.
+// Digest.
 
 TEST(TraceTest, DigestIsStableAndSensitive) {
   Tracer tr;
@@ -230,71 +218,6 @@ TEST(TraceTest, DigestIsStableAndSensitive) {
   auto b = a;
   b[1].value = 43;
   EXPECT_NE(trace_digest(a), trace_digest(b));
-  const auto div = analysis::first_divergence(a, b);
-  ASSERT_TRUE(div.has_value());
-  EXPECT_EQ(*div, 1u);
-  EXPECT_FALSE(analysis::first_divergence(a, a).has_value());
-
-  auto shorter = a;
-  shorter.pop_back();
-  const auto div2 = analysis::first_divergence(a, shorter);
-  ASSERT_TRUE(div2.has_value());
-  EXPECT_EQ(*div2, 2u);
-}
-
-// ---------------------------------------------------------------------
-// JSONL round trip is bit-exact; Chrome export is sane.
-
-TEST(TraceTest, JsonlRoundTripIsBitExact) {
-  Tracer tr;
-  tr.enable(2);
-  // A timestamp with no short decimal representation.
-  tr.begin_span(0, TracePhase::kShareExchange, SimTime{1.0 / 3.0});
-  tr.counter(0, TraceCounter::kTxBytes, 0xDEADBEEFULL, SimTime{2.0 / 7.0});
-  tr.end_span(0, TracePhase::kShareExchange, SimTime{0.1 + 0.2});
-  tr.finalize_epoch(at(1.0));
-  tr.counter(1, TraceCounter::kDropBytes, 9, at(1.5));
-  const auto events = tr.merged();
-
-  std::string buf;
-  {
-    auto sink = runner::JsonlSink::to_buffer(&buf);
-    analysis::write_trace_jsonl(events, sink);
-  }
-  const auto back = analysis::read_trace_jsonl(buf);
-  ASSERT_EQ(back.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(back[i], events[i]) << "row " << i << ": "
-                                  << analysis::format_trace_event(events[i]);
-  }
-  EXPECT_EQ(trace_digest(back), trace_digest(events));
-}
-
-TEST(TraceTest, ReadJsonlRejectsMalformedRows) {
-  EXPECT_THROW(analysis::read_trace_jsonl("{\"seq\": 0}\n"), std::runtime_error);
-  EXPECT_THROW(
-      analysis::read_trace_jsonl(
-          "{\"seq\": 0, \"t\": 0.0, \"t_bits\": 0, \"kind\": \"bogus\", "
-          "\"node\": 0, \"tag\": 0, \"value\": 0, \"epoch\": 0}\n"),
-      std::runtime_error);
-  // Comments and blank lines are not rows.
-  EXPECT_TRUE(analysis::read_trace_jsonl("# header\n\n").empty());
-}
-
-TEST(TraceTest, ChromeTraceJsonMentionsEveryEventKind) {
-  Tracer tr;
-  tr.enable(1);
-  tr.begin_span(0, TracePhase::kReport, at(1.0));
-  tr.counter(0, TraceCounter::kTxBytes, 5, at(1.5));
-  tr.end_span(0, TracePhase::kReport, at(2.0));
-  tr.finalize_epoch(at(3.0));
-  const std::string json = analysis::chrome_trace_json(tr.merged());
-  EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
 }
 
 // ---------------------------------------------------------------------

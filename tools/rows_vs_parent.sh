@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Campaign-rows gate: run every campaign bench (bench/CMakeLists.txt,
 # ICPDA_CAMPAIGN_BENCHES) at ICPDA_TRIALS=1 on this checkout and on a
-# reference revision, and `cmp` each bench's rows; then run
-# golden_trace_test on this checkout (both pinned golden digests).
+# reference revision, and `cmp` each bench's rows; do the same for the
+# traced rows of `bench_comm_overhead --trace` (the per-phase byte
+# columns the tracer feeds); then run golden_trace_test on this
+# checkout (both pinned golden digests).
 #
 # Usage: tools/rows_vs_parent.sh [rev]     (rev defaults to HEAD~1)
 #
@@ -24,29 +26,38 @@ benches="$(sed -n '/^set(ICPDA_CAMPAIGN_BENCHES/,/)/p' bench/CMakeLists.txt |
   sed -e 's/#.*//' -e 's/set(ICPDA_CAMPAIGN_BENCHES//' -e 's/)//' | tr -s ' \n' ' ')"
 
 status=0
-for bench in $benches; do
+# compare <label> <bench> [arg...]: run `<bench> --no-progress [arg...]`
+# at ICPDA_TRIALS=1 on both sides and `cmp` the rows.
+compare() {
+  label="$1"
+  bench="$2"
+  shift 2
   for side in ref new; do
     if [ "$side" = ref ]; then bin="$work/ref/build/bench/$bench"; else bin="build/bench/$bench"; fi
-    if ! ICPDA_TRIALS=1 "$bin" --no-progress >"$work/rows/$side/$bench.jsonl"; then
-      echo "FAIL  $bench: exited non-zero on the $side side"
+    if ! ICPDA_TRIALS=1 "$bin" --no-progress "$@" >"$work/rows/$side/$label.jsonl"; then
+      echo "FAIL  $label: exited non-zero on the $side side"
       status=1
-      continue 2
+      return 0
     fi
   done
-  if cmp -s "$work/rows/ref/$bench.jsonl" "$work/rows/new/$bench.jsonl"; then
-    echo "same  $bench ($(grep -vc '^#' "$work/rows/new/$bench.jsonl") rows)"
+  if cmp -s "$work/rows/ref/$label.jsonl" "$work/rows/new/$label.jsonl"; then
+    echo "same  $label ($(grep -vc '^#' "$work/rows/new/$label.jsonl") rows)"
   else
-    echo "DIFF  $bench"
-    diff "$work/rows/ref/$bench.jsonl" "$work/rows/new/$bench.jsonl" | head -n 10 || true
+    echo "DIFF  $label"
+    diff "$work/rows/ref/$label.jsonl" "$work/rows/new/$label.jsonl" | head -n 10 || true
     status=1
   fi
+}
+for bench in $benches; do
+  compare "$bench" "$bench"
 done
+compare "bench_comm_overhead --trace" bench_comm_overhead --trace
 
 echo "== golden_trace_test =="
 if ! build/tests/golden_trace_test --gtest_brief=1; then status=1; fi
 
 if [ "$status" -eq 0 ]; then
-  echo "rows_vs_parent: every campaign bench byte-identical to $rev; golden digests hold"
+  echo "rows_vs_parent: every campaign bench and the traced rows byte-identical to $rev; golden digests hold"
 else
   echo "rows_vs_parent: differences against $rev (see above)" >&2
 fi
