@@ -87,18 +87,18 @@ void IcpdaApp::on_receive(net::Node& node, const net::Frame& frame) {
   }
 }
 
-std::uint64_t IcpdaApp::overheard_types() const {
+std::uint64_t IcpdaApp::overheard_types_for(const IcpdaConfig& config, bool adversary) {
   // overhear_report acts on overheard reports. Beyond that, on_overhear
   // only runs admit(): the freshness gate counts stale frames of the
   // gated types in hardened runs, and replay capture keeps overheard
   // F announcements (and reports) when an adversary is attached.
   std::uint64_t types = std::uint64_t{1} << proto::kClusterReport;
-  if (config_.hardening.epoch_tag != 0) {
+  if (config.hardening.epoch_tag != 0) {
     for (net::FrameType t = 0; t < 64; ++t) {
       if (proto::epoch_tag_gated(t)) types |= std::uint64_t{1} << t;
     }
   }
-  if (adv_ != nullptr) types |= std::uint64_t{1} << proto::kFAnnounce;
+  if (adversary) types |= std::uint64_t{1} << proto::kFAnnounce;
   return types;
 }
 

@@ -30,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -134,7 +133,13 @@ class IcpdaApp final : public net::App {
   /// The overheard types on_overhear acts on (net::App): reports, plus
   /// the freshness-gated types when hardened and F announcements when
   /// an adversary is attached.
-  [[nodiscard]] std::uint64_t overheard_types() const override;
+  [[nodiscard]] std::uint64_t overheard_types() const override {
+    return overheard_types_for(config_, adv_ != nullptr);
+  }
+  /// The same mask for any app of `config`; service::QueryMux declares
+  /// it for the instances it routes to.
+  [[nodiscard]] static std::uint64_t overheard_types_for(const IcpdaConfig& config,
+                                                         bool adversary);
 
   // Introspection for tests & the privacy auditor.
   [[nodiscard]] ClusterRole role() const { return role_; }
@@ -287,7 +292,7 @@ class IcpdaApp final : public net::App {
   sim::Rng* rng_override_ = nullptr;
   std::uint32_t timers_pending_ = 0;
   /// digest_crosscheck: head id -> F sum it self-announced on the air.
-  std::map<net::NodeId, double> head_f_seen_;
+  FlatMap<net::NodeId, double> head_f_seen_;
 
   // Tree state.
   bool joined_ = false;           ///< has a (participating) tree parent
@@ -325,7 +330,7 @@ class IcpdaApp final : public net::App {
   /// Shares that arrived before the matching roster (decrypted, keyed
   /// by sender, tagged with their round); replayed into the context
   /// once the roster for that round is installed.
-  std::map<net::NodeId, std::pair<std::uint8_t, proto::Aggregate>> early_shares_;
+  FlatMap<net::NodeId, std::pair<std::uint8_t, proto::Aggregate>> early_shares_;
   /// Current Phase II round (0 = normal, 1 = crash recovery).
   std::uint8_t phase2_round_ = 0;
   bool recovery_started_ = false;  ///< heads: one recovery per epoch
@@ -355,8 +360,8 @@ class IcpdaApp final : public net::App {
   // Fault-failover state.
   /// Strictly-shallower neighbours heard during the flood (id -> hop):
   /// the candidate pool for Phase III parent failover.
-  std::map<net::NodeId, std::uint16_t> backup_parents_;
-  std::set<net::NodeId> failed_parents_;
+  FlatMap<net::NodeId, std::uint16_t> backup_parents_;
+  FlatSet<net::NodeId> failed_parents_;
   std::uint32_t reroutes_used_ = 0;
   /// Backup-reporter bookkeeping (first member after the head).
   bool head_report_seen_ = false;

@@ -25,10 +25,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "core/flat_set.h"
 #include "net/topology.h"
 #include "proto/aggregate.h"
 #include "proto/messages.h"
@@ -94,7 +94,7 @@ class WitnessMonitor {
   net::NodeId target_ = net::kNoNode;
   proto::Aggregate cluster_sum_;
   bool have_cluster_sum_ = false;
-  std::map<net::NodeId, Input> inputs_;
+  FlatMap<net::NodeId, Input> inputs_;
 };
 
 }  // namespace icpda::core

@@ -179,15 +179,7 @@ void Mac::finish_current(bool success) {
   if (!queue_.empty()) try_start();
 }
 
-void Mac::send_ack(const Frame& data_frame) {
-  Frame ack;
-  ack.src = self_;
-  ack.dst = data_frame.src;
-  ack.seq = 0;  // ACKs are identified by the payload's echoed sequence.
-  ack.type = kMacAck;
-  const std::uint32_t seq = data_frame.seq;  // echoed as a little-endian u32
-  ack.payload = {static_cast<std::uint8_t>(seq), static_cast<std::uint8_t>(seq >> 8),
-                 static_cast<std::uint8_t>(seq >> 16), static_cast<std::uint8_t>(seq >> 24)};
+void Mac::send_ack(NodeId dst, std::uint32_t seq) {
   // ACKs bypass contention: fire after a short inter-frame space, like
   // 802.11/802.15.4. They can still collide — that is physics. The SIFS
   // is shorter than the engine lookahead, which is exactly why a border
@@ -195,9 +187,18 @@ void Mac::send_ack(const Frame& data_frame) {
   // solicits it runs inside the gate (see Channel::transmit).
   sched_.after(
       sim::seconds(config_.sifs_s),
-      [this, ack = std::move(ack)] {
+      [this, dst, seq] {
+        // Written into the one MAC-owned frame, whose 4-byte payload
+        // buffer is reused: transmit() copies it into a pool slot at
+        // once, so an ACK allocates nothing once the MAC has sent one.
+        ack_.src = self_;
+        ack_.dst = dst;
+        ack_.seq = 0;  // ACKs are identified by the payload's echoed sequence.
+        ack_.type = kMacAck;
+        ack_.payload.resize(4);  // the echoed seq, a little-endian u32
+        for (int i = 0; i < 4; ++i) ack_.payload[i] = static_cast<std::uint8_t>(seq >> (8 * i));
         ack_sent_.add(metrics_);
-        channel_.transmit(self_, ack, nullptr);
+        channel_.transmit(self_, ack_, nullptr);
       },
       self_, border_);
 }
@@ -242,7 +243,7 @@ void Mac::handle_reception(const Frame& frame, std::uint32_t& last_seen) {
   if (!duplicate) last_seen = frame.seq;
 
   if (frame.dst == self_) {
-    send_ack(frame);
+    send_ack(frame.src, frame.seq);
     if (duplicate) {
       dup_suppressed_.add(metrics_);
       return;
@@ -259,7 +260,7 @@ void Mac::handle_reception(const Frame& frame, std::uint32_t& last_seen) {
 }
 
 std::size_t Mac::footprint_bytes() const {
-  return queue_.footprint_bytes();
+  return queue_.footprint_bytes() + ack_.payload.capacity();
 }
 
 }  // namespace icpda::net

@@ -97,7 +97,7 @@ class Mac {
   void handle_reception(const Frame& frame, std::uint32_t& last_seen);
 
   /// Heap bytes held by this MAC beyond sizeof(Mac): queued frames and
-  /// their payloads.
+  /// their payloads, and the ACK frame's payload buffer.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
@@ -134,6 +134,8 @@ class Mac {
   std::uint32_t next_seq_ = 1;
   sim::EventId ack_timer_{~0ULL};
   bool ack_timer_armed_ = false;
+  /// Every ACK this MAC sends is written here (see send_ack).
+  Frame ack_;
 
   void try_start();
   void defer();
@@ -141,7 +143,8 @@ class Mac {
   void on_tx_done();
   void on_ack_timeout();
   void finish_current(bool success);
-  void send_ack(const Frame& data_frame);
+  /// ACK `dst`'s data frame `seq` after the SIFS.
+  void send_ack(NodeId dst, std::uint32_t seq);
   [[nodiscard]] sim::SimTime random_backoff();
 };
 

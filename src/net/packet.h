@@ -55,8 +55,8 @@ struct Frame {
   }
 };
 
-// The tag fills padding: a Frame stays small enough for the
-// MAC's deferred-ACK closure to fit sim::EventFn's inline buffer.
+// The tag fills padding: a Frame stays 40 bytes, the unit of every
+// MAC queue slot and channel pool slot (footprint_bytes).
 static_assert(sizeof(Frame) == 40);
 
 }  // namespace icpda::net

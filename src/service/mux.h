@@ -16,6 +16,11 @@
 // The mux sees only what the channel delivers: a copy of an alarm
 // flood this node already holds (Channel::hold_flood) never reaches
 // it, so `service.frame_retired_query` does not count those copies.
+// Nor does the node hand it an overheard frame of a type no instance
+// reads: the mux declares its instances' overhear mask, so the
+// `service.frame_*` counters see every received frame but, of the
+// overheard ones, only cluster reports (and the epoch-tag-gated types
+// when hardened).
 //
 // Lifetime: protocol code schedules timers capturing raw `this`, so an
 // instance lives while its query is running or any timer it set is
@@ -88,6 +93,10 @@ class QueryMux final : public net::App {
   void on_receive(net::Node& node, const net::Frame& frame) override;
   void on_overhear(net::Node& node, const net::Frame& frame) override;
   void on_send_failed(net::Node& node, const net::Frame& frame) override;
+  /// What every instance overhears: the service mounts no adversary.
+  [[nodiscard]] std::uint64_t overheard_types() const override {
+    return core::IcpdaApp::overheard_types_for(state_->protocol, /*adversary=*/false);
+  }
 
   /// Base station only: create the instance of running query
   /// `query_id` and open its epoch (the flood is scheduled

@@ -28,17 +28,17 @@ enum class EventId : std::uint64_t {};
 /// at N = 1000 dispatches ~10^5 events per epoch, and std::function's
 /// 16-byte inline budget sent nearly every closure through the heap.
 /// The 48-byte buffer holds all of the kernel's hot closures — channel
-/// delivery (this + shared Frame + ids), the MAC's tx-done/backoff/ACK
-/// continuations (this + at most a 40-byte Frame) — so the kernel's
-/// steady-state event traffic allocates nothing. An application timer
-/// (net::Node::schedule) fits when its own closure is at most 32 B,
-/// beside the node's gate. Oversized captures fall back to a single
+/// delivery (this + pool slot + ids), the MAC's tx-done/backoff/ACK
+/// continuations (this + at most an ACK's destination and sequence) —
+/// so the kernel's steady-state event traffic allocates nothing. An
+/// application timer (net::Node::schedule) fits when its own closure
+/// is at most 32 B, beside the node's gate. Oversized captures fall back to a single
 /// heap cell; behaviour is identical either way.
 class EventFn {
  public:
   /// Inline capture budget. Raising it grows every scheduler slot;
-  /// the current hot-closure high-water mark is the MAC's deferred
-  /// ACK (this + 40-byte Frame = 48).
+  /// the current hot-closure high-water mark is an application timer
+  /// (the node's 16-byte gate + a 32-byte closure = 48).
   static constexpr std::size_t kInlineBytes = 48;
 
   EventFn() noexcept = default;

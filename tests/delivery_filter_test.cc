@@ -6,7 +6,8 @@
 //    must be indistinguishable from an unheld one in every count, event
 //    and outcome; only the app wakes go.
 //  * overheard-type masks — a node skips the on_overhear upcall for
-//    frame types its app declares it ignores. A pass-through wrapper
+//    frame types its app declares it ignores, and the service's
+//    QueryMux declares its instances' mask. A pass-through wrapper
 //    keeps the default (all types) mask, so an epoch run through it
 //    must reproduce the unwrapped epoch exactly.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "crypto/keyring.h"
 #include "net/network.h"
 #include "proto/messages.h"
+#include "service/mux.h"
 
 namespace icpda {
 namespace {
@@ -313,6 +315,23 @@ TEST(OverhearMaskTest, IcpdaAppDeclaresWhatItsOverhearPathReads) {
   EXPECT_EQ(adversarial.overheard_types(), bit(proto::kClusterReport) | bit(proto::kFAnnounce));
 }
 
+TEST(OverhearMaskTest, QueryMuxDeclaresItsInstancesMask) {
+  // The mux is the one app of a service node: it must declare the mask
+  // of the instances it routes to, or the node hands it every overheard
+  // frame for the instances to ignore.
+  const crypto::MasterPairwiseScheme keys{crypto::Key::from_seed(1)};
+  for (const std::uint32_t epoch_tag : {0u, 3u}) {
+    SCOPED_TRACE(epoch_tag);
+    service::ServiceState state;
+    state.protocol.hardening.epoch_tag = epoch_tag;
+    state.records.resize(1);
+    const service::QueryMux mux(&state);
+    const core::IcpdaApp instance(state.protocol, proto::constant_reading(1.0), &keys,
+                                  &state.no_attack, &state.records[0].outcome);
+    EXPECT_EQ(mux.overheard_types(), instance.overheard_types());
+  }
+}
+
 /// Forwards every upcall and keeps App's default (all types) mask.
 class PassThroughApp final : public net::App {
  public:
@@ -354,7 +373,8 @@ std::string outcome_summary(const core::IcpdaOutcome& o) {
         std::uint64_t{o.clusters_failed}, std::uint64_t{o.pollution_events},
         std::uint64_t{o.compromised_nodes}, std::uint64_t{o.replay_rejections},
         std::uint64_t{o.crosscheck_alarms}}) {
-    s += " " + std::to_string(v);
+    s += ' ';
+    s += std::to_string(v);
   }
   return s + " closed=" + std::to_string(o.closed_at.seconds()) +
          " last=" + std::to_string(o.last_report_at.seconds());

@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/keyring.h"
@@ -559,21 +560,28 @@ std::vector<std::string> record_summaries(const service::Dispatcher& d) {
   std::vector<std::string> out;
   for (const service::CompletionRecord& r : d.records()) {
     const core::IcpdaOutcome& o = r.outcome;
-    std::string s = std::to_string(r.id) + " " + service::query_status_name(r.status);
+    std::string s = std::to_string(r.id);
+    s += ' ';
+    s += service::query_status_name(r.status);
+    const auto field = [&s](const std::string& v, char sep) {
+      s += sep;
+      s += v;
+    };
     for (const double v : {r.launched.seconds(), r.closed.seconds(), r.latency_s, r.settle_s,
                            r.value, r.abs_error, r.coverage, o.last_report_at.seconds()}) {
-      s += " " + std::to_string(v);
+      field(std::to_string(v), ' ');
     }
     if (o.result) {
-      s += " " + std::to_string(o.result->count) + "/" + std::to_string(o.result->sum) + "/" +
-           std::to_string(o.result->sum_sq);
+      field(std::to_string(o.result->count), ' ');
+      field(std::to_string(o.result->sum), '/');
+      field(std::to_string(o.result->sum_sq), '/');
     }
     for (const std::uint64_t v :
          {std::uint64_t{r.accepted}, std::uint64_t{o.alarms.size()},
           std::uint64_t{o.drop_suspicions}, std::uint64_t{o.heads}, std::uint64_t{o.members},
           std::uint64_t{o.unclustered}, std::uint64_t{o.reporters},
           std::uint64_t{o.clusters_failed}, std::uint64_t{o.reroutes}}) {
-      s += " " + std::to_string(v);
+      field(std::to_string(v), ' ');
     }
     out.push_back(s);
   }
@@ -616,6 +624,71 @@ TEST(ServiceTest, WrappedMuxesReproduceTheRunExactly) {
   }
   EXPECT_EQ(created, cfg.query_count * muxes.size());
   EXPECT_LT(live, created);
+}
+
+/// Owns a sensor's mux and forwards every upcall to it like WrappedMux,
+/// but declares the mux's own overhear mask; records the type of every
+/// overheard frame the node hands it.
+class MaskForwardingMux final : public net::App {
+ public:
+  MaskForwardingMux(std::unique_ptr<service::QueryMux> mux, std::set<net::FrameType>* overheard)
+      : mux_(std::move(mux)), overheard_(overheard) {}
+
+  void start(net::Node& node) override { mux_->start(node); }
+  void on_receive(net::Node& node, const net::Frame& frame) override {
+    mux_->on_receive(node, frame);
+  }
+  void on_overhear(net::Node& node, const net::Frame& frame) override {
+    overheard_->insert(frame.type);
+    mux_->on_overhear(node, frame);
+  }
+  void on_send_failed(net::Node& node, const net::Frame& frame) override {
+    mux_->on_send_failed(node, frame);
+  }
+  [[nodiscard]] std::uint64_t overheard_types() const override {
+    return mux_->overheard_types();
+  }
+
+ private:
+  std::unique_ptr<service::QueryMux> mux_;
+  std::set<net::FrameType>* overheard_;
+};
+
+TEST(ServiceTest, SensorsOverhearOnlyWhatTheirInstancesRead) {
+  // The WrappedMuxesReproduceTheRunExactly config: clusters, so reports
+  // travel the tree and other types are unicast within earshot.
+  const auto keys = master_keys();
+  service::ServiceConfig cfg;
+  cfg.offered_load_qps = 0.5;
+  cfg.query_count = 12;
+  cfg.max_in_flight = 4;
+  cfg.deadline_s = 30.0;
+  cfg.seed = 0x3A9;
+
+  net::Network bare_net(dense_network(29));
+  service::Dispatcher bare(bare_net, cfg, &keys, integer_reading);
+  rewrap_sensors(bare_net, bare, {}, /*wrap=*/false);
+  bare.run();
+
+  net::Network network(dense_network(29));
+  service::Dispatcher dispatcher(network, cfg, &keys, integer_reading);
+  std::set<net::FrameType> overheard;
+  network.scheduler().at(sim::SimTime::zero(), [&] {
+    for (net::NodeId id = 1; id < network.size(); ++id) {
+      network.node(id).attach_app(std::make_unique<MaskForwardingMux>(
+          std::make_unique<service::QueryMux>(&dispatcher.state()), &overheard));
+    }
+  });
+  dispatcher.run();
+
+  // A plain (unhardened, adversary-free) instance reads overheard
+  // reports only, so no other overheard type reaches a sensor's app...
+  EXPECT_EQ(overheard, (std::set<net::FrameType>{proto::kClusterReport}));
+  // ...and the wrapper changes nothing the run reports.
+  EXPECT_EQ(dispatcher.completed(), cfg.query_count);
+  EXPECT_EQ(record_summaries(bare), record_summaries(dispatcher));
+  EXPECT_EQ(bare_net.executed_events(), network.executed_events());
+  EXPECT_EQ(bare_net.metrics().counters(), network.metrics().counters());
 }
 
 TEST(ServiceTest, QuerySpansAndLifecycleCountersAppearInTrace) {
